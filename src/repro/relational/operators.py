@@ -19,12 +19,11 @@ Every operator
 
 from __future__ import annotations
 
-import math
 import operator as _py_operator
 from array import array
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from ..errors import RelationalError, SchemaError
+from ..errors import RelationalError, SchemaError, XQueryRuntimeError
 from . import explain
 from .column import (Column, DenseColumn, concat_values, int_column_values,
                      make_column)
@@ -717,7 +716,14 @@ def compare_values(op: str, left: Any, right: Any) -> bool:
 
 
 def arithmetic(op: str, left: Any, right: Any) -> float | int | None:
-    """Arithmetic kernel with numeric promotion (returns None on failure)."""
+    """Arithmetic kernel with numeric promotion (returns None when an
+    operand is not a number).
+
+    ``div``, ``idiv`` and ``mod`` by zero raise ``err:FOAR0001``.  The
+    engine has no separate ``xs:double`` (no exponent literals; a float is
+    an ``xs:decimal``), so a ``0.0`` divisor raises like ``0`` — there is
+    no ``INF``/``NaN``-producing division.
+    """
     left_num = _as_number(left)
     right_num = _as_number(right)
     if left_num is None or right_num is None:
@@ -728,16 +734,13 @@ def arithmetic(op: str, left: Any, right: Any) -> float | int | None:
         return left_num - right_num
     if op == "mul":
         return left_num * right_num
+    if op not in ("div", "idiv", "mod"):
+        raise RelationalError(f"unknown arithmetic operator {op!r}")
+    if right_num == 0:
+        raise XQueryRuntimeError(
+            f"err:FOAR0001: division by zero ({left_num} {op} {right_num})")
     if op == "div":
-        if right_num == 0:
-            return math.nan
         return left_num / right_num
     if op == "idiv":
-        if right_num == 0:
-            return None
         return int(left_num // right_num)
-    if op == "mod":
-        if right_num == 0:
-            return None
-        return left_num % right_num
-    raise RelationalError(f"unknown arithmetic operator {op!r}")
+    return left_num % right_num

@@ -48,12 +48,7 @@ this module is the equivalent pass over the logical plans built by
   happens once, at the chain's end.  Chains never absorb shared
   (memoised) interior nodes; the executor additionally refuses to fuse
   across cross-query-cacheable nodes when a subplan cache is attached,
-  so cache slots keep materialising,
-* **codegen coverage marking** — every operator the plan-to-Python
-  codegen stage (:mod:`repro.xquery.codegen`) can compile to a
-  specialized closure is recorded, with per-node fallback reasons for
-  the rest (node constructors, user functions), so ``explain()`` shows
-  exactly which subtrees stay interpreted.
+  so cache slots keep materialising.
 
 All analyses are side tables keyed by ``PlanNode.id``; only the FLWOR
 rules rebuild plan nodes (moving conjuncts, adding the ``join``/``joins``/
@@ -330,13 +325,6 @@ class OptimizedModulePlan:
     #: worst-case-optimal multi-way join (the product bounds the pairwise
     #: intermediate the generic join avoids)
     wcoj_estimates: dict[int, tuple[float, ...]] = field(default_factory=dict)
-    #: node ids the codegen stage can compile to a specialized executor
-    #: closure (computed unconditionally so plan dumps are identical with
-    #: and without the ``codegen`` ablation)
-    codegen_nodes: frozenset[int] = frozenset()
-    #: node id -> human-readable reason the subtree stays interpreted
-    #: (node constructors, user functions, ...); surfaced via ``explain()``
-    codegen_fallbacks: dict[int, str] = field(default_factory=dict)
 
     def required_columns(self, node: PlanNode) -> frozenset[str]:
         return self.cols.get(node.id, FULL_COLUMNS)
@@ -413,12 +401,6 @@ class OptimizedModulePlan:
                     notes.append(note)
             if node.kind == "for" and len(node.children) > 1:
                 notes.append(f"pushed-predicates={len(node.children) - 1}")
-            if node.id in self.codegen_fallbacks:
-                notes.append(
-                    f"(interpreted: {self.codegen_fallbacks[node.id]})")
-            elif node.id in self.codegen_nodes and node.kind in (
-                    "step", "flwor", "filter", "call", "quantified"):
-                notes.append("(codegen)")
             return " ".join(notes)
 
         sections = []
@@ -557,19 +539,6 @@ def optimize(module_plan: "ModulePlan", options: Any = None,
                 f"{len(maximal)} step chains run surrogate-free "
                 f"(longest: {longest} steps)")
 
-    # 6. codegen coverage: which operators compile to specialized executor
-    #    closures.  Computed regardless of the codegen ablation so plan
-    #    renders are byte-identical with the switch on or off; the engine
-    #    only *uses* the marking when options.codegen is set.
-    codegen_nodes, codegen_fallbacks = _codegen_coverage(roots, functions)
-    kinds = {node.id: node.kind for root in roots for node in root.walk()}
-    report.fire("codegen",
-                f"{len(codegen_nodes)} of {len(kinds)} plan operators "
-                "compile to specialized executors")
-    for node_id, reason in sorted(codegen_fallbacks.items()):
-        report.fire("codegen-fallback",
-                    f"{kinds[node_id]} #{node_id}: {reason}")
-
     return OptimizedModulePlan(body=body, globals=globals_,
                                functions=functions, cols=cols,
                                shared=shared, impure=impure, free=free,
@@ -578,9 +547,7 @@ def optimize(module_plan: "ModulePlan", options: Any = None,
                                typed_columns=typed_columns,
                                fused_chains=fused_chains,
                                fused_members=fused_members,
-                               wcoj_estimates=wcoj_estimates,
-                               codegen_nodes=codegen_nodes,
-                               codegen_fallbacks=codegen_fallbacks)
+                               wcoj_estimates=wcoj_estimates)
 
 
 # --------------------------------------------------------------------------- #
@@ -658,60 +625,6 @@ def _fusable_chains(roots: list[PlanNode], shared: frozenset[int]
     return chains, frozenset(members)
 
 
-# --------------------------------------------------------------------------- #
-# codegen coverage (which operators compile to specialized closures)
-# --------------------------------------------------------------------------- #
-#: plan operators the codegen stage (:mod:`repro.xquery.codegen`) knows how
-#: to compile; anything else (node constructors, value templates) stays on
-#: the interpreting executor
-_CODEGEN_KINDS = frozenset({
-    "const", "empty", "var", "context", "root", "seq", "range", "arith",
-    "unary", "cmp-value", "cmp-general", "and", "or", "if", "flwor", "for",
-    "let", "orderspec", "quantified", "step", "filter", "call",
-})
-
-
-def _codegen_coverage(roots: list[PlanNode], functions: dict[str, Any]
-                      ) -> tuple[frozenset[int], dict[int, str]]:
-    """Partition plan operators into codegen-covered and interpreted.
-
-    Coverage is per-node: a covered operator's generated closure invokes
-    its children through the executor's shared entry point, so an
-    interpreted child simply falls back for its own subtree without
-    poisoning the parent.  The fallback reasons feed ``explain()`` (the
-    ``codegen-fallback`` report entries), mirroring the wcoj-recognition
-    report style so coverage regressions stay visible.
-    """
-    # deferred import: this package is imported by xquery.planner, and
-    # xquery.functions imports other xquery modules — resolving the
-    # builtin registry lazily avoids the cycle at module-load time
-    from ..xquery.functions import is_builtin
-
-    user_functions = {_strip_fn(name) for name in functions}
-    covered: set[int] = set()
-    fallbacks: dict[int, str] = {}
-    for root in roots:
-        for node in root.walk():
-            if node.id in covered or node.id in fallbacks:
-                continue
-            if node.kind not in _CODEGEN_KINDS:
-                fallbacks[node.id] = "node constructor" \
-                    if node.kind in ("elem", "text", "avt") \
-                    else f"unsupported operator {node.kind}"
-                continue
-            if node.kind == "call":
-                name = _strip_fn(node.p("name"))
-                if name in ("position", "last") and not node.children:
-                    covered.add(node.id)
-                elif name in user_functions:
-                    fallbacks[node.id] = "user function"
-                elif not is_builtin(name):
-                    fallbacks[node.id] = f"unknown function {name}()"
-                else:
-                    covered.add(node.id)
-                continue
-            covered.add(node.id)
-    return frozenset(covered), fallbacks
 def _cacheable_subplans(roots: list[PlanNode], free: FreeVariables,
                         impure: frozenset[int],
                         functions: dict[str, Any]) -> dict[int, str]:

@@ -100,9 +100,7 @@ class ServerStats:
                 f"version={self.store_version}{shared} "
                 f"plans[hit={self.plan_cache.hits} "
                 f"miss={self.plan_cache.misses} "
-                f"evict={self.plan_cache.evictions} "
-                f"compiled={self.plan_cache.compiled} "
-                f"fallback={self.plan_cache.codegen_fallbacks}] "
+                f"evict={self.plan_cache.evictions}] "
                 f"subplans[hit={self.subplan_cache.hits} "
                 f"miss={self.subplan_cache.misses} "
                 f"entries={self.subplan_entries}]")

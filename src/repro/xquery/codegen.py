@@ -1,39 +1,33 @@
-"""Plan-to-Python codegen: specialized executor closures per plan operator.
-
-The interpreting executor (:mod:`repro.xquery.compiler`) walks the optimized
-DAG node-by-node on *every* execution: per node a ``getattr`` dispatch, a
-re-unpacking of the same ``PlanNode`` params, re-derivation of the same
-static decisions (need_pos/need_item, join schedules, fused chains).  For
-plans served thousands of times from the plan cache this is pure overhead —
-the paper's whole point is that the hot path should run as tight loops over
-columns, not per-node interpretation.
+"""Plan-to-Python codegen: the executor — one closure per plan operator.
 
 This module compiles an :class:`~repro.relational.rewrites.
 OptimizedModulePlan` **once at prepare time** into one specialized Python
-closure per covered operator (closure composition — the approach
-DevilsDatabase takes for value expressions, one level up):
+closure per plan operator (closure composition — the approach DevilsDatabase
+takes for value expressions, one level up).  The closures are the *only*
+way a plan node executes; there is no interpreting twin beside them:
 
 * every static decision is resolved at codegen time: operator params,
   comparison operators and strategies, need_pos/need_item column
   requirements, join schedules and estimates, fused-chain specs (including
-  positional ``[k]``/``[last()]`` predicates), builtin function lookups,
+  positional ``[k]``/``[last()]`` predicates), builtin and user-function
+  lookups,
 * constant operands of arithmetic / comparisons / logic skip the
   ``lift_constant`` table churn entirely (their per-iteration values and
   effective boolean values are precomputed),
-* the subplan-cache and CSE-memoisation wrappers of the interpreter's
-  ``compile()`` entry point are baked into each closure, so cache
-  semantics are bit-identical,
-* anything codegen does not cover (node constructors, user functions —
-  per-node ``codegen_fallbacks`` marking from the rewrite layer) delegates
-  to the interpreter for its own subtree only; covered children of an
-  interpreted parent still execute compiled, because the interpreter's
-  ``compile()`` consults the compiled-closure table first.
+* the subplan-cache and CSE-memoisation wrappers are baked into each
+  closure (:meth:`_ClosureBuilder._wrap`),
+* ``for``/``let``/``orderspec``/``avt`` nodes are structural: the enclosing
+  ``flwor``/``quantified``/``elem`` closure consumes them inline,
+* dynamic errors stay dynamic: an unknown function, a wrong user-function
+  arity or a recursive user function compile to closures that raise at
+  *run* time, so ``prepare()``/``explain()`` succeed on any parsable query.
 
 Each closure has the signature ``fn(rt, loop, env) -> Table`` where ``rt``
 is the per-execution :class:`~repro.xquery.compiler.LoopLiftingCompiler`
 (carrying the run-scoped state: memo tables, staircase stats, the engine
-view).  The :class:`CompiledProgram` itself is immutable and shared — it is
-cached on :class:`~repro.xquery.engine.PreparedQuery` next to the plan, so
+view, and the join/predicate/ordering run-time the closures call into).
+The :class:`CompiledProgram` itself is immutable and shared — it is cached
+on :class:`~repro.xquery.engine.PreparedQuery` next to the plan, so
 plan-cache keying (query + options + store version) invalidates both
 together, and process-pool workers rebuild it cheaply in their warm
 per-generation engines.
@@ -54,22 +48,19 @@ from ..relational.sorting import sort
 from ..staircase.axes import NodeTest
 from ..xml.document import NodeRef
 from . import functions
+from .constructors import construct_element, construct_text
 from .joins import existential_compare
 from .sequences import (back_map, empty_sequence, for_binding,
                         from_iter_items, items_by_iteration, lift_constant,
                         lift_environment, lift_items, make_loop,
-                        restrict_sequence, singleton_per_iter)
+                        restrict_sequence, singleton_per_iter,
+                        singleton_values)
 from .steps import StepOptions, axis_step, axis_step_chain
-from .types import atomize, effective_boolean_value, to_number
+from .types import atomize, effective_boolean_value, to_number, to_string
 
-#: operators that get their own generated closure; ``for``/``let``/
-#: ``orderspec`` are codegen-covered but structural — they are consumed
-#: inline by the enclosing ``flwor``/``quantified`` closure
-_GENERATED = frozenset({
-    "const", "empty", "var", "context", "root", "seq", "range", "arith",
-    "unary", "cmp-value", "cmp-general", "and", "or", "if", "flwor",
-    "quantified", "step", "filter", "call",
-})
+#: structural operators without a closure of their own: the enclosing
+#: ``flwor`` / ``elem`` closure consumes them inline
+_STRUCTURAL = frozenset({"for", "let", "orderspec", "avt"})
 
 #: argless builtins that consume the implicit context item
 _CONTEXT_BUILTINS = ("string", "data", "number", "name", "local-name")
@@ -84,43 +75,35 @@ class CompiledProgram:
     """
 
     by_id: dict[int, Callable] = field(repr=False)
-    #: node id -> reason the subtree stays interpreted (from the rewrite
-    #: layer's coverage marking)
-    fallbacks: dict[int, str] = field(repr=False)
-    compiled_count: int = 0
+    #: node id -> reason a node has no closure: always empty, every operator
+    #: compiles (read by the benchmark's layer view)
+    fallbacks: dict[int, str] = field(default_factory=dict, repr=False)
+
+    @property
+    def compiled_count(self) -> int:
+        return len(self.by_id)
 
 
 def compile_plan(optimized: OptimizedModulePlan, options: Any
                  ) -> CompiledProgram:
-    """Compile every covered operator of an optimized plan to a closure."""
+    """Compile every operator of an optimized plan — body, globals and
+    user-function bodies — to a closure."""
     builder = _ClosureBuilder(optimized, options)
     for root in optimized.roots():
         for node in root.walk():
-            if node.id in optimized.codegen_nodes \
-                    and node.kind in _GENERATED:
+            if node.kind not in _STRUCTURAL:
                 builder.closure(node)
-    return CompiledProgram(by_id=builder.by_id,
-                           fallbacks=dict(optimized.codegen_fallbacks),
-                           compiled_count=len(builder.by_id))
-
-
-def _singleton_values(table) -> dict[int, Any]:
-    """First item per iteration (the singleton-value view of a sequence)."""
-    values: dict[int, Any] = {}
-    for iteration, item in zip(table.col("iter"), table.col("item")):
-        values.setdefault(iteration, item)
-    return values
+    return CompiledProgram(by_id=builder.by_id)
 
 
 class _ClosureBuilder:
-    """Walks the plan DAG once, emitting one closure per covered node."""
+    """Walks the plan DAG once, emitting one closure per operator."""
 
     def __init__(self, plan: OptimizedModulePlan, options: Any):
         self.plan = plan
         self.options = options
         self.by_id: dict[int, Callable] = {}
-        self._delegates: dict[int, Callable] = {}
-        # every option consulted per-node by the interpreter, resolved once
+        # every option consulted per node, resolved once
         self.order_opt = options.order_optimization
         self.step_fusion = getattr(options, "step_fusion", True)
         self.existential_strategy = "auto" \
@@ -137,29 +120,17 @@ class _ClosureBuilder:
     # closure lookup / wrapping
     # ------------------------------------------------------------------ #
     def closure(self, node: PlanNode) -> Callable:
-        """The executable closure of a node: generated + wrapped when the
-        coverage analysis marked it, an interpreter delegate otherwise."""
+        """The executable closure of a node (generated and wrapped once)."""
         fn = self.by_id.get(node.id)
-        if fn is not None:
-            return fn
-        fn = self._delegates.get(node.id)
-        if fn is not None:
-            return fn
-        if node.id in self.plan.codegen_nodes and node.kind in _GENERATED:
+        if fn is None:
             generate = getattr(self, "_gen_" + node.kind.replace("-", "_"))
-            fn = self._wrap(node, generate(node))
-            self.by_id[node.id] = fn
-            return fn
-
-        def delegate(rt, loop, env, node=node):
-            return rt.compile(node, loop, env)
-        self._delegates[node.id] = delegate
-        return delegate
+            fn = self.by_id[node.id] = self._wrap(node, generate(node))
+        return fn
 
     def _wrap(self, node: PlanNode, raw: Callable) -> Callable:
-        """Bake the interpreter ``compile()`` entry-point semantics into a
-        closure: the cross-query subplan-cache consultation, then the
-        shared-subplan (CSE) memoisation.  Nodes with neither stay raw."""
+        """Bake the entry-point semantics of a node into its closure: the
+        cross-query subplan-cache consultation, then the shared-subplan
+        (CSE) memoisation.  Nodes with neither stay raw."""
         fingerprint = self.plan.cache_keys.get(node.id)
         shared = node.id in self.plan.shared \
             and node.id not in self.plan.impure
@@ -194,10 +165,16 @@ class _ClosureBuilder:
         return "pos" in self.plan.required_columns(node)
 
     def _needs_item(self, node: PlanNode) -> tuple[bool, bool]:
-        """The interpreter's ``_needs_item`` split into (static verdict,
-        cache-dependent bit): the one dynamic input is whether a cross-query
-        subplan cache is attached — cache-marked nodes must materialise
-        items for *other* queries' consumers — so the closure evaluates
+        """Whether any consumer reads the ``item`` column of this node,
+        as (static verdict, cache-dependent bit).
+
+        ``False`` (only under the ``typed_columns`` ablation) lets the step
+        kernels skip value materialisation entirely — pure-cardinality
+        consumers such as ``count()`` read ``iter`` alone.  The one dynamic
+        input is whether a cross-query subplan cache is attached:
+        cache-marked nodes must materialise items for *other* queries'
+        consumers, which the required-columns analysis of this plan knows
+        nothing about — so the closure evaluates
         ``static or (cache_dependent and rt._subplan_cache is not None)``.
         """
         if not self.typed_columns:
@@ -212,8 +189,8 @@ class _ClosureBuilder:
     # ------------------------------------------------------------------ #
     def _inline_const(self, child: PlanNode) -> bool:
         """A constant operand's per-iteration view can be built directly
-        (no lifted table) — except for shared consts, whose memoisation
-        trace records must stay identical to the interpreter's."""
+        (no lifted table) — except for shared consts, which keep going
+        through their memoising closure."""
         return child.kind == "const" and child.id not in self.plan.shared
 
     def _scalar_source(self, child: PlanNode) -> Callable:
@@ -225,7 +202,7 @@ class _ClosureBuilder:
             return lambda rt, loop, env: dict.fromkeys(loop.col("iter"),
                                                        value)
         fn = self.closure(child)
-        return lambda rt, loop, env: _singleton_values(fn(rt, loop, env))
+        return lambda rt, loop, env: singleton_values(fn(rt, loop, env))
 
     def _grouped_source(self, child: PlanNode) -> Callable:
         """``fn(rt, loop, env) -> {iteration: [items]}`` (sequence view)."""
@@ -645,8 +622,17 @@ class _ClosureBuilder:
     # ------------------------------------------------------------------ #
     def _chain_nodes(self, node: PlanNode, *, trim_at_cache: bool
                      ) -> list[PlanNode] | None:
-        """The step nodes (head first) of the node's fused chain, mirroring
-        the interpreter's ``_fused_chain`` for one cache configuration."""
+        """The step nodes (head first) of the node's fused chain for one
+        cache configuration.
+
+        The rewrite analysis annotated the maximal absorbable chain length
+        (only through steps that are predicate-free or carry a single
+        positional predicate).  With ``trim_at_cache`` a cache-marked
+        interior node stays a chain boundary — its materialised item
+        sequence is shared with other queries, so it is evaluated
+        standalone (consulting and populating its cache slot) and the
+        chain is trimmed above it.  ``None`` when fewer than two steps
+        survive (the per-step path runs instead)."""
         if not self.step_fusion:
             return None
         length = self.plan.fused_chains.get(node.id, 0)
@@ -786,8 +772,13 @@ class _ClosureBuilder:
                 return table
             return fn
 
-        # the coverage analysis routed user functions and unknown names to
-        # the interpreter, so this lookup cannot fail at codegen time
+        planned = self.plan.functions.get(node.p("name")) \
+            or self.plan.functions.get(name)
+        if planned is not None:
+            return self._gen_user_call(node, planned)
+        if not functions.is_builtin(name):
+            # a dynamic error: prepare()/explain() must keep succeeding
+            return lambda rt, loop, env: functions.lookup(name)
         implementation = functions.lookup(name)
 
         if name in _CONTEXT_BUILTINS and not node.children:
@@ -806,4 +797,106 @@ class _ClosureBuilder:
             return implementation(
                 rt, loop, [argument(rt, loop, env)
                            for argument in argument_fns])
+        return fn
+
+    def _gen_user_call(self, node: PlanNode, planned) -> Callable:
+        """A (non-recursive) user-function call: the body closure runs
+        under an environment holding only the parameters.  The body is
+        looked up at run time — it compiles as its own root, and resolving
+        it here would not terminate on a recursive declaration."""
+        function = planned.name
+        parameters = planned.parameters
+        argument_fns = [self.closure(argument)
+                        for argument in node.children]
+        body_id = planned.body.id
+        by_id = self.by_id
+
+        def fn(rt, loop, env):
+            if function in rt._call_stack:
+                raise XQueryUnsupportedError(
+                    f"recursive user function {function}() is not "
+                    "supported by the eager loop-lifting evaluator")
+            if len(argument_fns) != len(parameters):
+                raise XQueryTypeError(
+                    f"{function}() expects {len(parameters)} "
+                    f"arguments, got {len(argument_fns)}")
+            call_env = {parameter: argument(rt, loop, env)
+                        for parameter, argument
+                        in zip(parameters, argument_fns)}
+            rt._call_stack.append(function)
+            try:
+                return by_id[body_id](rt, loop, call_env)
+            finally:
+                rt._call_stack.pop()
+        return fn
+
+    # ------------------------------------------------------------------ #
+    # constructors (into the execution's transient container)
+    # ------------------------------------------------------------------ #
+    def _spec_source(self, spec, children) -> Callable:
+        """``fn(rt, loop, env) -> [str | {iteration: [items]}]``: a
+        content/template spec with every ``"e"`` slot evaluated (in order)
+        and the literal text parts passed through."""
+        expressions = iter(children)
+        parts = [self._grouped_source(next(expressions)) if part == "e"
+                 else part[1] for part in spec]
+        return lambda rt, loop, env: [
+            part if isinstance(part, str) else part(rt, loop, env)
+            for part in parts]
+
+    def _string_source(self, spec, children) -> Callable:
+        """``fn(rt, loop, env) -> {iteration: str}``: the literal parts
+        joined with the space-separated string values of each ``{expr}``."""
+        parts_src = self._spec_source(spec, children)
+
+        def source(rt, loop, env):
+            parts = parts_src(rt, loop, env)
+            return {iteration: "".join(
+                        part if isinstance(part, str)
+                        else " ".join(map(to_string,
+                                          part.get(iteration, ())))
+                        for part in parts)
+                    for iteration in loop.col("iter")}
+        return source
+
+    def _gen_elem(self, node: PlanNode) -> Callable:
+        name = node.p("name")
+        attr_names = node.p("attr_names")
+        attr_srcs = [self._string_source(template.p("spec"),
+                                         template.children)
+                     for template in node.children[:len(attr_names)]]
+        content_src = self._spec_source(node.p("content_spec"),
+                                        node.children[len(attr_names):])
+
+        def fn(rt, loop, env):
+            # every nested expression runs (and constructs) for the whole
+            # loop before the first element of this constructor is built
+            attr_values = [source(rt, loop, env) for source in attr_srcs]
+            content_parts = content_src(rt, loop, env)
+            container = rt.engine.transient
+            values: dict[int, Any] = {}
+            for iteration in loop.col("iter"):
+                content: list[Any] = []
+                for part in content_parts:
+                    if isinstance(part, str):
+                        content.append(part)
+                    else:
+                        content.extend(part.get(iteration, ()))
+                attributes = [(attr_name, per_iter[iteration])
+                              for attr_name, per_iter
+                              in zip(attr_names, attr_values)]
+                values[iteration] = construct_element(container, name,
+                                                      attributes, content)
+            return singleton_per_iter(loop, values)
+        return fn
+
+    def _gen_text(self, node: PlanNode) -> Callable:
+        text_src = self._string_source(("e",), node.children)
+
+        def fn(rt, loop, env):
+            texts = text_src(rt, loop, env)
+            container = rt.engine.transient
+            return singleton_per_iter(loop, {
+                iteration: construct_text(container, text)
+                for iteration, text in texts.items()})
         return fn

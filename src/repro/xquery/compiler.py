@@ -1,80 +1,69 @@
-"""The loop-lifting XQuery compiler: logical plans executed operator-at-a-time.
+"""The loop-lifting executor run-time: the state and shared operators the
+compiled plan closures run against.
 
-The compiler follows Pathfinder's staging (Section 2.1): a parsed module is
+The engine follows Pathfinder's staging (Section 2.1): a parsed module is
 first translated into a **logical plan DAG** (:mod:`repro.xquery.planner`),
 the DAG is **rewritten** — join recognition, projection pushdown,
-common-subplan sharing (:mod:`repro.relational.rewrites`) — and only then
-does the executor in this module walk the optimized DAG into the eager
-relational operators.  As in MonetDB's operator-at-a-time model every
-physical operator materialises its result; the intermediates carry the
-column properties that drive physical algorithm choice (Section 4.1).
+common-subplan sharing (:mod:`repro.relational.rewrites`) — and then
+**compiled** into one closure per plan operator
+(:mod:`repro.xquery.codegen`), the only way a plan node executes.  As in
+MonetDB's operator-at-a-time model every physical operator materialises
+its result; the intermediates carry the column properties that drive
+physical algorithm choice (Section 4.1).
 
 Every expression is executed *with respect to its enclosing ``for``-loops*,
 represented by a unary ``loop`` relation; its value is an ``iter|pos|item``
-table.  The executor implements:
+table.  A :class:`LoopLiftingCompiler` is the per-execution ``rt`` argument
+of every closure.  It holds the run-scoped state — global variable values,
+the user-function call stack, the shared-subplan memo, the cross-query
+subplan cache — and the multi-node operators the closures call into:
 
-* loop-lifting of constants, variables and FLWOR expressions (scope maps,
-  back-mapping, ``order by`` via per-tuple rank keys),
-* conditionals via loop splitting (Figure 5),
-* general comparisons with existential semantics (Section 4.2),
-* XPath location steps through the loop-lifted staircase join with optional
-  nametest pushdown (Section 3), including positional and boolean
-  predicates via nested iteration scopes,
 * **join execution** for the FLWOR blocks the rewrite optimizer annotated
   (Section 4.1, ``indep`` property): the loop-invariant binding sequence is
   evaluated once and theta-joined against the outer loop with existential
   semantics instead of a lifted Cartesian product — the rewrite that makes
-  XMark Q8–Q12 scale linearly,
-* **projection pushdown**: operators whose consumers ignore sequence order
-  and positions skip the sorts/renumberings that only maintain ``pos``,
-* **shared-subplan memoisation**: hash-consed DAG nodes marked by the CSE
-  rewrite execute once per (loop, environment) and are reused afterwards,
-* element/text constructors into the transient document container,
-* the built-in function library and non-recursive user-defined functions.
+  XMark Q8–Q12 scale linearly — plus the worst-case-optimal multi-way
+  variant and the restoration of the syntactic tuple order after a
+  cost-ordered clause schedule,
+* pushed-down binding predicates and XPath predicates (positional fast
+  paths, nested iteration scopes, reverse-axis proximity positions),
+* ``order by`` via per-tuple rank keys,
+* sequence concatenation with **projection pushdown** (consumers that
+  ignore positions skip the sorts/renumberings that only maintain ``pos``),
+* **shared-subplan memoisation** keys and the cross-query materialised
+  subplan cache.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..errors import (XQueryRuntimeError, XQueryTypeError,
-                      XQueryUnsupportedError)
 from ..relational import explain
 from ..relational import operators as ops
 from ..relational.column import Column
-from ..relational.cardinality import StoreStatistics
 from ..relational.plan import PlanNode
 from ..relational.properties import TableProps
-from ..relational.rewrites import (JoinEstimate, OptimizedModulePlan,
-                                   flatten_conjuncts, optimize,
-                                   positional_predicate_spec)
+from ..relational.rewrites import JoinEstimate, OptimizedModulePlan
 from ..relational import wcoj
 from ..relational.sorting import sort
 from ..relational.table import Table
-from ..staircase.axes import NodeTest
 from ..staircase.iterative import StaircaseStats
 from ..xml.document import NodeRef
-from . import ast, functions
-from .constructors import construct_element, construct_text
-from .joins import (existential_compare, existential_join, flip_comparison,
-                    is_numeric_value)
-from .planner import PlannedFunction, plan_module
-from .sequences import (back_map, empty_sequence, ensure_sequence_order,
-                        for_binding, from_iter_items, items_by_iteration,
-                        lift_constant, lift_environment, lift_items,
-                        make_loop, restrict_sequence, sequence_items,
-                        singleton_per_iter, unit_loop)
-from .steps import StepOptions, axis_step, axis_step_chain
-from .types import (atomize, effective_boolean_value, to_number, to_string)
+from .joins import existential_join, flip_comparison, is_numeric_value
+from .sequences import (empty_sequence, ensure_sequence_order, for_binding,
+                        from_iter_items, items_by_iteration, lift_constant,
+                        lift_environment, lift_items, make_loop,
+                        restrict_sequence, sequence_items, singleton_values,
+                        unit_loop)
+from .types import atomize, effective_boolean_value, to_number, to_string
 
 
 class LoopLiftingCompiler:
-    """Plans, optimizes and executes a parsed query against an engine."""
+    """Executes one compiled plan against an engine (the closures' ``rt``)."""
 
     def __init__(self, engine):
         self.engine = engine
         self.options = engine.options
-        self.user_functions: dict[str, PlannedFunction] = {}
         self.global_items: dict[str, list[Any]] = {}
         self.step_stats = StaircaseStats()
         self._call_stack: list[str] = []
@@ -84,47 +73,24 @@ class LoopLiftingCompiler:
         self._subplan_cache = getattr(engine, "subplan_cache", None)
         if not getattr(self.options, "cross_query_caching", True):
             self._subplan_cache = None
-        self.step_options = StepOptions(
-            loop_lifted_child=self.options.loop_lifted_child,
-            loop_lifted_descendant=self.options.loop_lifted_descendant,
-            loop_lifted_other=self.options.loop_lifted_other,
-            nametest_pushdown=self.options.nametest_pushdown,
-        )
-        #: node id -> compiled closure when executing under a codegen'd
-        #: plan (:mod:`repro.xquery.codegen`); ``None`` = pure interpreter
-        self._codegen: dict[int, Any] | None = None
+        #: node id -> closure of the plan being executed
+        self._closures: dict[int, Any] = {}
 
     # ------------------------------------------------------------------ #
     # entry points
     # ------------------------------------------------------------------ #
-    def run(self, module: ast.Module, context_item: Any | None = None) -> list[Any]:
-        """Plan, optimize and evaluate a parsed module."""
-        statistics = StoreStatistics.from_store(self.engine.store)
-        optimized = optimize(plan_module(module), self.options,
-                             statistics=statistics)
-        return self.run_optimized(optimized, context_item=context_item)
-
-    def run_optimized(self, optimized: OptimizedModulePlan,
-                      context_item: Any | None = None,
-                      compiled: Any | None = None) -> list[Any]:
-        """Evaluate an already optimized module plan (the plan-cache path).
-
-        ``compiled`` is the plan's :class:`~repro.xquery.codegen.
-        CompiledProgram`: its specialized closures take over execution for
-        every covered operator, the interpreter serves the rest.
-        """
+    def run_optimized(self, optimized: OptimizedModulePlan, compiled: Any,
+                      context_item: Any | None = None) -> list[Any]:
+        """Evaluate an optimized module plan through ``compiled``, its
+        :class:`~repro.xquery.codegen.CompiledProgram`."""
         self._plan = optimized
-        self.user_functions = dict(optimized.functions)
         self._memo = {}
         self._memo_pins = []
-        if compiled is not None:
-            self._codegen = compiled.by_id
-            explain.record("plan", "plan.codegen", compiled.compiled_count,
-                           len(compiled.fallbacks),
-                           detail=f"{compiled.compiled_count} compiled "
-                                  "operators")
-        else:
-            self._codegen = None
+        self._closures = compiled.by_id
+        explain.record("plan", "plan.codegen", compiled.compiled_count,
+                       len(compiled.fallbacks),
+                       detail=f"{compiled.compiled_count} compiled "
+                              "operators")
         loop = unit_loop()
         env: dict[str, Any] = {}
         if context_item is not None:
@@ -138,43 +104,15 @@ class LoopLiftingCompiler:
         return sequence_items(result, 1)
 
     # ------------------------------------------------------------------ #
-    # dispatcher (with shared-subplan memoisation)
+    # node execution, subplan cache, shared-subplan memo keys
     # ------------------------------------------------------------------ #
     def compile(self, node: PlanNode, loop, env: dict):
-        """Execute one plan node under the given loop relation/environment."""
-        codegen = self._codegen
-        if codegen is not None:
-            # the compiled closure carries its own subplan-cache / memo
-            # wrappers, baked in at codegen time
-            fn = codegen.get(node.id)
-            if fn is not None:
-                return fn(self, loop, env)
-        if self._subplan_cache is not None and self._plan is not None:
-            fingerprint = self._plan.cache_key(node)
-            if fingerprint is not None:
-                materialized = self._materialized_subplan(node, fingerprint,
-                                                          loop, env)
-                if materialized is not None:
-                    return materialized
-        key = None
-        if self._plan is not None and self._plan.is_shared(node) \
-                and self._plan.is_pure(node):
-            key = self._memo_key(node, loop, env)
-            hit = self._memo.get(key)
-            if hit is not None:
-                explain.record("plan", "plan.cse.reuse", hit.row_count,
-                               hit.row_count, detail=node.kind)
-                return hit
-        method = getattr(self, f"_exec_{node.kind.replace('-', '_')}", None)
-        if method is None:  # pragma: no cover - planner emits known kinds
-            raise XQueryUnsupportedError(f"unsupported plan operator {node.kind}")
-        result = method(node, loop, env)
-        if key is not None:
-            self._memo[key] = result
-        return result
+        """Execute one plan node under the given loop relation/environment
+        (its closure carries the subplan-cache / memo wrappers)."""
+        return self._closures[node.id](self, loop, env)
 
     def _materialized_subplan(self, node: PlanNode, fingerprint: str,
-                              loop, env: dict, evaluate=None):
+                              loop, env: dict, evaluate):
         """Serve a cacheable absolute-path subplan from the shared
         cross-query cache (evaluating and materializing it on a miss).
 
@@ -184,8 +122,9 @@ class LoopLiftingCompiler:
         iteration sees.  When all iterations share one persistent root the
         result is loop-invariant: it is computed once under a unit loop,
         cached keyed on (fingerprint, store version, container identity,
-        root), and re-lifted into the current loop.  Returns ``None`` to
-        fall back to ordinary evaluation (no/ambiguous/transient context).
+        root), and re-lifted into the current loop.  Returns ``None`` when
+        the caller must evaluate the node itself (no/ambiguous/transient
+        context).
         """
         context = env.get(".")
         if context is None or loop.row_count == 0:
@@ -211,17 +150,10 @@ class LoopLiftingCompiler:
             base_loop = unit_loop()
             base_env = {".": lift_constant(base_loop,
                                            NodeRef(container, root_pre))}
-            # dispatch directly (not via compile()) so this node cannot
-            # consult the cache again; nested prefix steps still go through
-            # compile() and populate their own cache slots.  Codegen'd
-            # plans pass their raw (unwrapped) closure as ``evaluate`` for
-            # the same reason.
-            if evaluate is None:
-                evaluate = getattr(self,
-                                   f"_exec_{node.kind.replace('-', '_')}")
-                table = evaluate(node, base_loop, base_env)
-            else:
-                table = evaluate(self, base_loop, base_env)
+            # ``evaluate`` is the node's raw (unwrapped) closure, so this
+            # node cannot consult the cache again; nested prefix steps run
+            # through their wrapped closures and populate their own slots
+            table = evaluate(self, base_loop, base_env)
             items = tuple(sequence_items(table, 1))
             items = self._subplan_cache.insert(key, items, pin=container)
             explain.record("plan", "plan.subplan.materialize",
@@ -248,52 +180,7 @@ class LoopLiftingCompiler:
                 parts.append((name, id(table)))
         return tuple(parts)
 
-    def _needs_pos(self, node: PlanNode) -> bool:
-        if self._plan is None:
-            return True
-        return "pos" in self._plan.required_columns(node)
-
-    def _needs_item(self, node: PlanNode) -> bool:
-        """Whether any consumer reads the ``item`` column of this node.
-
-        ``False`` (only under the ``typed_columns`` ablation) lets the
-        executor skip value materialisation entirely — pure-cardinality
-        consumers such as ``count()`` read ``iter`` alone.  Nodes marked
-        for the cross-query subplan cache are exempt: their materialised
-        item sequence is shared with *other* queries whose consumers the
-        required-columns analysis of this plan knows nothing about.
-        """
-        if self._plan is None or not getattr(self.options, "typed_columns", True):
-            return True
-        if self._subplan_cache is not None \
-                and self._plan.cache_key(node) is not None:
-            return True
-        return "item" in self._plan.required_columns(node)
-
-    # -- literals, variables, sequences ------------------------------------- #
-    def _exec_const(self, node: PlanNode, loop, env):
-        return lift_constant(loop, node.p("value"))
-
-    def _exec_empty(self, node: PlanNode, loop, env):
-        return empty_sequence()
-
-    def _exec_var(self, node: PlanNode, loop, env):
-        name = node.p("name")
-        if name in env:
-            return env[name]
-        if name in self.global_items:
-            return lift_items(loop, self.global_items[name])
-        raise XQueryRuntimeError(f"unbound variable ${name}")
-
-    def _exec_context(self, node: PlanNode, loop, env):
-        if "." not in env:
-            raise XQueryRuntimeError("the context item is undefined here")
-        return env["."]
-
-    def _exec_seq(self, node: PlanNode, loop, env):
-        parts = [self.compile(item, loop, env) for item in node.children]
-        return self._concatenate(parts, need_pos=self._needs_pos(node))
-
+    # -- sequences ---------------------------------------------------------- #
     def _concatenate(self, parts: list, *, need_pos: bool = True):
         live = [part for part in parts if part.row_count]
         if not live:
@@ -327,262 +214,7 @@ class LoopLiftingCompiler:
         result.props.order = ("iter", "pos")
         return result
 
-    def _exec_range(self, node: PlanNode, loop, env):
-        start = self._singleton_values(self.compile(node.children[0], loop, env))
-        end = self._singleton_values(self.compile(node.children[1], loop, env))
-        pairs: list[tuple[int, Any]] = []
-        for iteration in loop.col("iter"):
-            low = to_number(start.get(iteration))
-            high = to_number(end.get(iteration))
-            if low is None or high is None:
-                continue
-            for value in range(int(low), int(high) + 1):
-                pairs.append((iteration, value))
-        return from_iter_items(pairs)
-
-    # -- arithmetic, comparisons, logic -------------------------------------- #
-    def _singleton_values(self, table) -> dict[int, Any]:
-        values: dict[int, Any] = {}
-        for iteration, item in zip(table.col("iter"), table.col("item")):
-            values.setdefault(iteration, item)
-        return values
-
-    def _exec_arith(self, node: PlanNode, loop, env):
-        left = self._singleton_values(self.compile(node.children[0], loop, env))
-        right = self._singleton_values(self.compile(node.children[1], loop, env))
-        op = node.p("op")
-        values: dict[int, Any] = {}
-        for iteration in loop.col("iter"):
-            if iteration not in left or iteration not in right:
-                continue
-            result = ops.arithmetic(op, atomize(left[iteration]),
-                                    atomize(right[iteration]))
-            if result is not None:
-                values[iteration] = result
-        return singleton_per_iter(loop, values)
-
-    def _exec_unary(self, node: PlanNode, loop, env):
-        operand = self._singleton_values(self.compile(node.children[0], loop, env))
-        negate = node.p("negate")
-        values: dict[int, Any] = {}
-        for iteration in loop.col("iter"):
-            if iteration not in operand:
-                continue
-            number = to_number(operand[iteration])
-            if number is None:
-                continue
-            values[iteration] = -number if negate else number
-        return singleton_per_iter(loop, values)
-
-    def _exec_cmp_value(self, node: PlanNode, loop, env):
-        left = self._singleton_values(self.compile(node.children[0], loop, env))
-        right = self._singleton_values(self.compile(node.children[1], loop, env))
-        op = node.p("op")
-        values: dict[int, Any] = {}
-        for iteration in loop.col("iter"):
-            if iteration not in left or iteration not in right:
-                continue
-            values[iteration] = ops.compare_values(
-                op, atomize(left[iteration]), atomize(right[iteration]))
-        return singleton_per_iter(loop, values)
-
-    def _exec_cmp_general(self, node: PlanNode, loop, env):
-        left = items_by_iteration(self.compile(node.children[0], loop, env))
-        right = items_by_iteration(self.compile(node.children[1], loop, env))
-        strategy = "auto" if self.options.existential_aggregates else "dedup"
-        true_iterations = existential_compare(left, right, node.p("op"),
-                                              strategy=strategy)
-        values = {iteration: iteration in true_iterations
-                  for iteration in loop.col("iter")}
-        return singleton_per_iter(loop, values)
-
-    def _ebv_by_iteration(self, node: PlanNode, loop, env) -> dict[int, bool]:
-        table = self.compile(node, loop, env)
-        grouped = items_by_iteration(table)
-        return {iteration: effective_boolean_value(grouped.get(iteration, []))
-                for iteration in loop.col("iter")}
-
-    def _exec_and(self, node: PlanNode, loop, env):
-        verdict = {iteration: True for iteration in loop.col("iter")}
-        for operand in node.children:
-            partial = self._ebv_by_iteration(operand, loop, env)
-            for iteration in verdict:
-                verdict[iteration] = verdict[iteration] and partial.get(iteration, False)
-        return singleton_per_iter(loop, verdict)
-
-    def _exec_or(self, node: PlanNode, loop, env):
-        verdict = {iteration: False for iteration in loop.col("iter")}
-        for operand in node.children:
-            partial = self._ebv_by_iteration(operand, loop, env)
-            for iteration in verdict:
-                verdict[iteration] = verdict[iteration] or partial.get(iteration, False)
-        return singleton_per_iter(loop, verdict)
-
-    # -- conditionals --------------------------------------------------------- #
-    def _exec_if(self, node: PlanNode, loop, env):
-        condition, then_branch, else_branch = node.children
-        verdict = self._ebv_by_iteration(condition, loop, env)
-        then_iters = [it for it in loop.col("iter") if verdict.get(it, False)]
-        else_iters = [it for it in loop.col("iter") if not verdict.get(it, False)]
-
-        parts = []
-        if then_iters:
-            then_loop = make_loop(then_iters)
-            then_env = {name: restrict_sequence(table, then_iters)
-                        for name, table in env.items()}
-            parts.append(self.compile(then_branch, then_loop, then_env))
-        if else_iters:
-            else_loop = make_loop(else_iters)
-            else_env = {name: restrict_sequence(table, else_iters)
-                        for name, table in env.items()}
-            parts.append(self.compile(else_branch, else_loop, else_env))
-        parts = [part for part in parts if part.row_count]
-        if not parts:
-            return empty_sequence()
-        merged = ops.union_all(parts)
-        merged = sort(merged, ("iter", "pos"),
-                      use_properties=self.options.order_optimization)
-        return merged
-
     # -- FLWOR ----------------------------------------------------------------- #
-    def _exec_flwor(self, node: PlanNode, loop, env):
-        nclauses = node.p("nclauses")
-        has_where = node.p("has_where")
-        norder = node.p("norder")
-        clauses = node.children[:nclauses]
-        where = node.children[nclauses] if has_where else None
-        spec_start = nclauses + (1 if has_where else 0)
-        orderspecs = node.children[spec_start:spec_start + norder]
-        return_node = node.children[-1]
-
-        conjuncts: list[PlanNode] = []
-        if where is not None:
-            conjuncts = flatten_conjuncts(where)
-
-        # worst-case-optimal multi-way join: the annotated clique, when
-        # the dynamic context checks hold, evaluates as one generic join
-        # and consumes every participating clause and conjunct at once
-        wcoj_state = None
-        wcoj_spec = node.p("wcoj")
-        if wcoj_spec is not None and self.options.join_recognition \
-                and getattr(self.options, "wcoj", True):
-            wcoj_state = self._execute_wcoj(clauses, conjuncts, wcoj_spec,
-                                            loop, env)
-        if wcoj_state is not None:
-            tuple_map, current_loop, current_env, consumed_conjuncts = \
-                wcoj_state
-        else:
-            join_by_clause: dict[int, tuple[int, int, int]] = {}
-            estimate_by_clause: dict[int, JoinEstimate] = {}
-            if self.options.join_recognition and node.p("join") is not None:
-                triples = node.p("joins") or (node.p("join"),)
-                join_by_clause = {triple[0]: tuple(triple) for triple in triples}
-                if self._plan is not None:
-                    for estimate in self._plan.join_estimates.get(node.id, ()):
-                        estimate_by_clause[estimate.clause] = estimate
-
-            # the cost-based execution order of the clauses (join clauses float
-            # smallest-build-first); the tuple order is restored afterwards
-            schedule = tuple(range(nclauses))
-            if join_by_clause and self.options.cost_based_joins:
-                annotated = node.p("clause_order")
-                if annotated is not None \
-                        and sorted(annotated) == list(range(nclauses)):
-                    schedule = tuple(annotated)
-            reordered = schedule != tuple(range(nclauses))
-
-            current_loop = loop
-            current_env = dict(env)
-            tuple_map = None                    # outer -> inner, composed
-            consumed_conjuncts: set[int] = set()
-            # per current iteration: which item ordinal each clause contributed
-            # (only tracked when the syntactic tuple order must be restored)
-            clause_keys: dict[int, dict[int, int]] | None = \
-                {iteration: {} for iteration in loop.col("iter")} \
-                if reordered else None
-
-            for index in schedule:
-                clause = clauses[index]
-                if clause.kind == "let":
-                    current_env[clause.p("var")] = self.compile(
-                        clause.children[0], current_loop, current_env)
-                    continue
-
-                triple = join_by_clause.get(index)
-                if triple is not None:
-                    join_plan = self._execute_join(
-                        clause, conjuncts[triple[1]], triple[2], current_loop,
-                        current_env, estimate=estimate_by_clause.get(index))
-                    if join_plan is not None:
-                        scope_map, inner_loop, bindings, ranks = join_plan
-                        current_env = lift_environment(current_env, scope_map)
-                        current_env.update(bindings)
-                        tuple_map = self._compose_maps(tuple_map, scope_map)
-                        if clause_keys is not None:
-                            clause_keys = self._advance_clause_keys(
-                                clause_keys, index, scope_map, ranks)
-                        current_loop = inner_loop
-                        consumed_conjuncts.add(triple[1])
-                        continue
-
-                sequence = self.compile(clause.children[0], current_loop,
-                                        current_env)
-                if len(clause.children) > 1:
-                    sequence = self._filter_binding(
-                        sequence, clause.p("var"), clause.children[1:],
-                        current_env)
-                scope_map, inner_loop, variable, positions = for_binding(
-                    sequence, use_properties=self.options.order_optimization)
-                current_env = lift_environment(current_env, scope_map)
-                current_env[clause.p("var")] = variable
-                if clause.p("posvar"):
-                    current_env[clause.p("posvar")] = positions
-                tuple_map = self._compose_maps(tuple_map, scope_map)
-                if clause_keys is not None:
-                    clause_keys = self._advance_clause_keys(
-                        clause_keys, index, scope_map,
-                        list(positions.col("item")))
-                current_loop = inner_loop
-
-            if reordered and tuple_map is not None:
-                current_loop, current_env, tuple_map = \
-                    self._restore_clause_order(
-                        loop, current_loop, current_env, tuple_map,
-                        clause_keys, nclauses)
-
-        remaining = [conjunct for index, conjunct in enumerate(conjuncts)
-                     if index not in consumed_conjuncts]
-        if remaining:
-            verdict = {iteration: True
-                       for iteration in current_loop.col("iter")}
-            for conjunct in remaining:
-                partial = self._ebv_by_iteration(conjunct, current_loop,
-                                                 current_env)
-                for iteration in verdict:
-                    verdict[iteration] = verdict[iteration] \
-                        and partial.get(iteration, False)
-            surviving = [it for it in current_loop.col("iter")
-                         if verdict.get(it, False)]
-            current_loop = make_loop(surviving)
-            current_env = {name: restrict_sequence(table, surviving)
-                           for name, table in current_env.items()}
-
-        order_keys = None
-        if orderspecs:
-            order_keys = self._order_by_ranks(orderspecs, current_loop,
-                                              current_env)
-
-        body = self.compile(return_node, current_loop, current_env)
-
-        if tuple_map is None:
-            if order_keys is not None:
-                raise XQueryUnsupportedError(
-                    "order by requires at least one for clause")
-            return body
-        return back_map(tuple_map, body, order_keys=order_keys,
-                        use_properties=self.options.order_optimization,
-                        need_pos=self._needs_pos(node) or norder > 0)
-
     def _advance_clause_keys(self, clause_keys: dict[int, dict[int, int]],
                              clause_index: int, scope_map,
                              ordinals: list[int]) -> dict[int, dict[int, int]]:
@@ -703,7 +335,7 @@ class LoopLiftingCompiler:
         keys_per_spec = []
         for spec in specs:
             table = self.compile(spec.children[0], loop, env)
-            keys_per_spec.append((self._singleton_values(table),
+            keys_per_spec.append((singleton_values(table),
                                   spec.p("descending")))
         iterations = list(loop.col("iter"))
 
@@ -984,144 +616,7 @@ class LoopLiftingCompiler:
                         item_index, genuine))
         return rows
 
-    # -- quantified expressions ------------------------------------------------ #
-    def _exec_quantified(self, node: PlanNode, loop, env):
-        variables = node.p("variables")
-        quantifier = node.p("quantifier")
-        current_loop = loop
-        current_env = dict(env)
-        tuple_map = None
-        for variable, sequence_node in zip(variables, node.children[:-1]):
-            sequence = self.compile(sequence_node, current_loop, current_env)
-            scope_map, inner_loop, bound, _ = for_binding(
-                sequence, use_properties=self.options.order_optimization)
-            current_env = lift_environment(current_env, scope_map)
-            current_env[variable] = bound
-            tuple_map = self._compose_maps(tuple_map, scope_map)
-            current_loop = inner_loop
-
-        verdict = self._ebv_by_iteration(node.children[-1], current_loop,
-                                         current_env)
-        per_outer: dict[int, list[bool]] = {}
-        if tuple_map is None:                           # no bindings: degenerate
-            per_outer = {iteration: [] for iteration in loop.col("iter")}
-        else:
-            for outer, inner in zip(tuple_map.col("outer"), tuple_map.col("inner")):
-                per_outer.setdefault(outer, []).append(verdict.get(inner, False))
-        values: dict[int, bool] = {}
-        for iteration in loop.col("iter"):
-            outcomes = per_outer.get(iteration, [])
-            if quantifier == "some":
-                values[iteration] = any(outcomes)
-            else:
-                values[iteration] = all(outcomes)
-        return singleton_per_iter(loop, values)
-
     # -- paths ------------------------------------------------------------------ #
-    def _exec_root(self, node: PlanNode, loop, env):
-        if "." not in env:
-            raise XQueryRuntimeError(
-                "absolute path used without a context document")
-        context = env["."]
-        values: dict[int, Any] = {}
-        for iteration, item in zip(context.col("iter"), context.col("item")):
-            if not isinstance(item, NodeRef):
-                raise XQueryTypeError("the context item is not a node")
-            values.setdefault(
-                iteration, NodeRef(item.container,
-                                   item.container.root_pre(item.pre)))
-        return singleton_per_iter(loop, values)
-
-    def _exec_step(self, node: PlanNode, loop, env):
-        predicates = node.children[1:]
-        # the rewrite analysis only marks chains through steps that are
-        # predicate-free or carry a single positional predicate, so any
-        # marked node is safe for the chain runner
-        chain = self._fused_chain(node)
-        if chain is not None:
-            return self._exec_fused_chain(chain, loop, env)
-        context = self.compile(node.children[0], loop, env)
-        name = node.p("test_name")
-        node_test = NodeTest(kind=node.p("test_kind"),
-                             name=name if name not in (None, "*") else None)
-        axis = node.p("axis")
-        if not predicates:
-            return axis_step(context, axis, node_test,
-                             options=self.step_options, stats=self.step_stats,
-                             need_item=self._needs_item(node))
-        # predicates need positions relative to each context node: open a
-        # nested iteration scope with one iteration per context node
-        scope_map, sub_loop, dot, _ = for_binding(
-            context, use_properties=self.options.order_optimization)
-        produced = axis_step(dot, axis, node_test,
-                             options=self.step_options, stats=self.step_stats)
-        sub_env = lift_environment(env, scope_map)
-        sub_env["."] = dot
-        filtered = self._apply_predicates(produced, predicates, sub_loop,
-                                          sub_env, reverse=axis.is_reverse)
-        merged = back_map(scope_map, filtered,
-                          use_properties=self.options.order_optimization)
-        return self._nodes_in_document_order(merged,
-                                             need_pos=self._needs_pos(node))
-
-    def _fused_chain(self, node: PlanNode) -> list[PlanNode] | None:
-        """The step nodes (head first) this node's fusable chain spans.
-
-        The rewrite analysis annotated the maximal absorbable chain length;
-        what remains dynamic is the cross-query cache: when a subplan cache
-        is attached, a cache-marked interior node must stay a chain
-        boundary — its materialised item sequence is shared with other
-        queries, so it is evaluated standalone (consulting and populating
-        its cache slot) and the chain is trimmed above it.  Returns ``None``
-        when fewer than two steps survive (fall back to the per-step path).
-        """
-        if self._plan is None or not getattr(self.options, "step_fusion", True):
-            return None
-        length = self._plan.fused_chain_length(node)
-        if length < 2:
-            return None
-        chain = [node]
-        current = node
-        while len(chain) < length:
-            deeper = current.children[0]
-            if self._subplan_cache is not None \
-                    and self._plan.cache_key(deeper) is not None:
-                break
-            chain.append(deeper)
-            current = deeper
-        if len(chain) < 2:
-            return None
-        return chain
-
-    def _exec_fused_chain(self, chain: list[PlanNode], loop, env):
-        """Run a chain of predicate-free steps as one surrogate-free
-        pipeline: the base context is compiled normally, then every
-        staircase join feeds the next one through raw ``(iter, pre)`` int
-        buffers and only the chain's end is assembled into an
-        ``iter|pos|item`` table (boxing at most once — never when the
-        required-columns analysis pruned ``item``).  Positional
-        predicates (``[k]`` / ``[last()]``) run as per-context counting
-        on the same raw buffers."""
-        head = chain[0]
-        context = self.compile(chain[-1].children[0], loop, env)
-        specs = []
-        for step in reversed(chain):
-            name = step.p("test_name")
-            pos_spec = positional_predicate_spec(step.children[1]) \
-                if len(step.children) > 1 else None
-            specs.append((step.p("axis"),
-                          NodeTest(kind=step.p("test_kind"),
-                                   name=name if name not in (None, "*")
-                                   else None),
-                          pos_spec))
-        return axis_step_chain(context, specs, options=self.step_options,
-                               stats=self.step_stats,
-                               need_item=self._needs_item(head))
-
-    def _exec_filter(self, node: PlanNode, loop, env):
-        base = self.compile(node.children[0], loop, env)
-        return self._apply_predicates(base, node.children[1:], loop, env)
-
     def _nodes_in_document_order(self, table, *, need_pos: bool = True):
         rows = sorted(
             zip(table.col("iter"), table.col("item")),
@@ -1225,121 +720,3 @@ class LoopLiftingCompiler:
         kept = sequence.take(keep, keep_order=True)
         pairs = list(zip(kept.col("iter"), kept.col("item")))
         return from_iter_items(pairs)
-
-    # -- functions --------------------------------------------------------------- #
-    def _exec_call(self, node: PlanNode, loop, env):
-        name = node.p("name")
-        if name.startswith("fn:"):
-            name = name[3:]
-        if name == "position" and not node.children:
-            if "fs:position" not in env:
-                raise XQueryRuntimeError("position() used outside a predicate")
-            return env["fs:position"]
-        if name == "last" and not node.children:
-            if "fs:last" not in env:
-                raise XQueryRuntimeError("last() used outside a predicate")
-            return env["fs:last"]
-
-        if node.p("name") in self.user_functions or name in self.user_functions:
-            planned = self.user_functions.get(node.p("name")) \
-                or self.user_functions[name]
-            return self._call_user_function(planned, node, loop, env)
-
-        if name in ("string", "data", "number", "name", "local-name") \
-                and not node.children:
-            arguments = [self._exec_context(node, loop, env)]
-        else:
-            arguments = [self.compile(argument, loop, env)
-                         for argument in node.children]
-        implementation = functions.lookup(name)
-        return implementation(self, loop, arguments)
-
-    def _call_user_function(self, planned: PlannedFunction,
-                            node: PlanNode, loop, env):
-        if planned.name in self._call_stack:
-            raise XQueryUnsupportedError(
-                f"recursive user function {planned.name}() is not supported "
-                "by the eager loop-lifting evaluator")
-        if len(node.children) != len(planned.parameters):
-            raise XQueryTypeError(
-                f"{planned.name}() expects {len(planned.parameters)} "
-                f"arguments, got {len(node.children)}")
-        call_env: dict[str, Any] = {}
-        for parameter, argument in zip(planned.parameters, node.children):
-            call_env[parameter] = self.compile(argument, loop, env)
-        self._call_stack.append(planned.name)
-        try:
-            return self.compile(planned.body, loop, call_env)
-        finally:
-            self._call_stack.pop()
-
-    # -- constructors -------------------------------------------------------------- #
-    def _exec_elem(self, node: PlanNode, loop, env):
-        container = self.engine.transient
-        attr_names = node.p("attr_names")
-        content_spec = node.p("content_spec")
-        templates = node.children[:len(attr_names)]
-        content_children = node.children[len(attr_names):]
-
-        attribute_values: list[tuple[str, dict[int, str]]] = []
-        for attribute_name, template in zip(attr_names, templates):
-            attribute_values.append(
-                (attribute_name,
-                 self._evaluate_value_template(template, loop, env)))
-
-        content_parts: list[tuple[str, Any]] = []
-        expr_index = 0
-        for part in content_spec:
-            if part == "e":
-                content_parts.append(("expr", items_by_iteration(
-                    self.compile(content_children[expr_index], loop, env))))
-                expr_index += 1
-            else:
-                content_parts.append(("text", part[1]))
-
-        values: dict[int, Any] = {}
-        for iteration in loop.col("iter"):
-            attributes = [(name, per_iter.get(iteration, ""))
-                          for name, per_iter in attribute_values]
-            content: list[Any] = []
-            for kind, payload in content_parts:
-                if kind == "text":
-                    content.append(payload)
-                else:
-                    content.extend(payload.get(iteration, []))
-            values[iteration] = construct_element(container, node.p("name"),
-                                                  attributes, content)
-        return singleton_per_iter(loop, values)
-
-    def _evaluate_value_template(self, template: PlanNode, loop, env
-                                 ) -> dict[int, str]:
-        pieces: list[tuple[str, Any]] = []
-        expr_index = 0
-        for part in template.p("spec"):
-            if part == "e":
-                pieces.append(("expr", items_by_iteration(
-                    self.compile(template.children[expr_index], loop, env))))
-                expr_index += 1
-            else:
-                pieces.append(("text", part[1]))
-        values: dict[int, str] = {}
-        for iteration in loop.col("iter"):
-            rendered: list[str] = []
-            for kind, payload in pieces:
-                if kind == "text":
-                    rendered.append(payload)
-                else:
-                    rendered.append(" ".join(to_string(item)
-                                             for item in payload.get(iteration, [])))
-            values[iteration] = "".join(rendered)
-        return values
-
-    def _exec_text(self, node: PlanNode, loop, env):
-        grouped = items_by_iteration(self.compile(node.children[0], loop, env))
-        container = self.engine.transient
-        values: dict[int, Any] = {}
-        for iteration in loop.col("iter"):
-            items = grouped.get(iteration, [])
-            text = " ".join(to_string(item) for item in items)
-            values[iteration] = construct_text(container, text)
-        return singleton_per_iter(loop, values)

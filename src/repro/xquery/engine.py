@@ -30,7 +30,7 @@ from ..xml.document import DocumentContainer, DocumentStore, NodeRef
 from ..xml.serializer import serialize_sequence
 from ..xml.shredder import shred_document, shred_file
 from . import parser
-from .codegen import compile_plan
+from .codegen import CompiledProgram, compile_plan
 from .compiler import LoopLiftingCompiler
 from .planner import plan_module
 from .types import atomize, to_string
@@ -41,7 +41,9 @@ class EngineOptions:
     """Ablation switches of the relational XQuery engine.
 
     The defaults correspond to the full MonetDB/XQuery configuration; the
-    benchmarks flip individual switches to reproduce Figures 12–14.
+    benchmarks flip individual switches to reproduce Figures 12–14.  How a
+    plan *executes* is not a switch: every plan compiles to closures
+    (:mod:`repro.xquery.codegen`) at prepare time.
     """
 
     #: use the loop-lifted staircase join for child steps (else one pass per iteration)
@@ -104,15 +106,6 @@ class EngineOptions:
     #: ``False`` restores the pairwise join schedule of the cost-based
     #: planner bit-identically
     wcoj: bool = True
-    #: plan-to-Python codegen: at prepare time every covered operator of the
-    #: optimized plan compiles into a specialized executor closure (static
-    #: decisions — params, schedules, column requirements, fused chains —
-    #: resolved once; constants inlined), cached on the prepared query next
-    #: to the plan.  Uncovered subtrees (node constructors, user functions)
-    #: fall back to the interpreter per node.  ``False`` is the pure
-    #: operator-at-a-time interpreter baseline; plans and results are
-    #: bit-identical either way
-    codegen: bool = True
 
     def replace(self, **changes: Any) -> "EngineOptions":
         return replace(self, **changes)
@@ -134,27 +127,22 @@ class PlanCacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: plans compiled to specialized executors at prepare time (codegen)
-    compiled: int = 0
-    #: plan operators left to the interpreter across those compilations
-    codegen_fallbacks: int = 0
 
     def clear(self) -> None:
         self.hits = self.misses = self.evictions = 0
-        self.compiled = self.codegen_fallbacks = 0
 
     def snapshot(self) -> "PlanCacheStats":
         """An independent copy (for reporting from another thread)."""
-        return PlanCacheStats(self.hits, self.misses, self.evictions,
-                              self.compiled, self.codegen_fallbacks)
+        return PlanCacheStats(self.hits, self.misses, self.evictions)
 
 
 @dataclass
 class PreparedQuery:
-    """A parsed, planned and optimized query, ready to run repeatedly.
+    """A parsed, planned, optimized and compiled query, ready to run
+    repeatedly.
 
     Produced by :meth:`MonetXQuery.prepare`; running it skips parsing,
-    planning and the rewrite optimizer entirely.  The plan is logical —
+    planning, the rewrite optimizer and closure compilation entirely.  The plan is logical —
     execution reads the document store at :meth:`run` time, so a prepared
     query observes later updates to the *contents* of loaded documents,
     while the engine's plan cache is invalidated whenever the set of loaded
@@ -165,10 +153,10 @@ class PreparedQuery:
     plan: OptimizedModulePlan
     options: "EngineOptions"
     engine: "MonetXQuery" = field(repr=False)
-    #: the plan's :class:`~repro.xquery.codegen.CompiledProgram` when the
-    #: ``codegen`` option is on (``None`` = interpret); cached here so the
-    #: plan-cache key (text + store version + options) governs both
-    compiled: Any = field(default=None, repr=False)
+    #: the plan's :class:`~repro.xquery.codegen.CompiledProgram` — the
+    #: closures that execute it; cached here so the plan-cache key (text +
+    #: store version + options) governs both
+    compiled: CompiledProgram = field(repr=False)
 
     def run(self, *, context: str | None = None) -> "QueryResult":
         """Execute the optimized plan and return the result sequence."""
@@ -345,7 +333,7 @@ class MonetXQuery:
 
     def prepare(self, query: str, *,
                 options: EngineOptions | None = None) -> PreparedQuery:
-        """Parse, plan and optimize a query once; cache the result.
+        """Parse, plan, optimize and compile a query once; cache the result.
 
         The LRU cache is keyed by query text, the document-store schema
         version and the engine options, so loading/dropping a document (or
@@ -365,33 +353,27 @@ class MonetXQuery:
         # concurrent cache hits (two threads may race to compile the same
         # text; the first insert wins and object identity stays stable)
         explain.record("plan", "plan.cache.miss", 0, 0, detail="prepare")
-        module = parser.parse(query)
-        optimized = optimize(plan_module(module), active,
-                             statistics=StoreStatistics.from_store(self.store))
-        compiled = compile_plan(optimized, active) \
-            if getattr(active, "codegen", True) else None
-        prepared = PreparedQuery(text=query, plan=optimized,
-                                 options=active, engine=self,
-                                 compiled=compiled)
+        prepared = self._build_prepared(query, parser.parse(query), active)
         if self.plan_cache_size > 0:
             with self._plan_lock:
                 existing = self._plan_cache.get(key)
                 if existing is not None:
                     return existing
                 self._plan_cache[key] = prepared
-                if compiled is not None:
-                    self.plan_cache_stats.compiled += 1
-                    self.plan_cache_stats.codegen_fallbacks += \
-                        len(compiled.fallbacks)
                 while len(self._plan_cache) > self.plan_cache_size:
                     self._plan_cache.popitem(last=False)
                     self.plan_cache_stats.evictions += 1
-        elif compiled is not None:
-            with self._plan_lock:
-                self.plan_cache_stats.compiled += 1
-                self.plan_cache_stats.codegen_fallbacks += \
-                    len(compiled.fallbacks)
         return prepared
+
+    def _build_prepared(self, text: str, module,
+                        options: EngineOptions) -> PreparedQuery:
+        """Plan → optimize → compile: the one place a
+        :class:`PreparedQuery` is built."""
+        optimized = optimize(plan_module(module), options,
+                             statistics=StoreStatistics.from_store(self.store))
+        return PreparedQuery(text=text, plan=optimized, options=options,
+                             engine=self,
+                             compiled=compile_plan(optimized, options))
 
     def explain(self, query: str, *,
                 options: EngineOptions | None = None) -> str:
@@ -422,15 +404,9 @@ class MonetXQuery:
 
     def execute(self, module, *, context: str | None = None,
                 options: EngineOptions | None = None) -> QueryResult:
-        """Evaluate an already parsed module (uncached plan pipeline)."""
-        active_options = options if options is not None else self.options
-        compiler = LoopLiftingCompiler(_EngineView(self, active_options))
-        context_item = self._context_item(context)
-        started = time.perf_counter()
-        items = compiler.run(module, context_item=context_item)
-        elapsed = time.perf_counter() - started
-        return QueryResult(items=items, elapsed_seconds=elapsed,
-                           step_stats=compiler.step_stats)
+        """Evaluate an already parsed module (bypasses the plan cache)."""
+        active = options if options is not None else self.options
+        return self._build_prepared("", module, active).run(context=context)
 
     def _run_prepared(self, prepared: PreparedQuery, *,
                       context: str | None = None,
@@ -442,9 +418,8 @@ class MonetXQuery:
             _EngineView(self, prepared.options, transient=transient))
         context_item = self._context_item(context)
         started = time.perf_counter()
-        items = compiler.run_optimized(prepared.plan,
-                                       context_item=context_item,
-                                       compiled=prepared.compiled)
+        items = compiler.run_optimized(prepared.plan, prepared.compiled,
+                                       context_item=context_item)
         elapsed = time.perf_counter() - started
         return QueryResult(items=items, elapsed_seconds=elapsed,
                            step_stats=compiler.step_stats)

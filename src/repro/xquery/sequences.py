@@ -147,6 +147,14 @@ def items_by_iteration(sequence: Table) -> dict[int, list[Any]]:
     return grouped
 
 
+def singleton_values(sequence: Table) -> dict[int, Any]:
+    """First item per iteration (the singleton-value view of a sequence)."""
+    values: dict[int, Any] = {}
+    for iteration, item in zip(sequence.col("iter"), sequence.col("item")):
+        values.setdefault(iteration, item)
+    return values
+
+
 def ensure_sequence_order(sequence: Table, *, use_properties: bool = True) -> Table:
     """Guarantee the ``[iter, pos]`` ordering of a sequence table."""
     from ..relational.sorting import sort

@@ -13,8 +13,7 @@ from repro.xmark import XMARK_QUERIES, xmark_query
 
 
 REWRITE_FLAGS = ["projection_pushdown", "subplan_sharing",
-                 "predicate_pushdown", "cost_based_joins", "wcoj",
-                 "codegen"]
+                 "predicate_pushdown", "cost_based_joins", "wcoj"]
 
 
 def run_serialized(engine, number, options=None):
@@ -52,8 +51,6 @@ def test_all_rewrite_switches_off_preserve_xmark_results(xmark_engine,
     ("cost_based_joins", "subplan_sharing"),
     ("cost_based_joins", "wcoj"),
     ("join_recognition", "wcoj"),
-    ("codegen", "step_fusion"),
-    ("codegen", "subplan_sharing"),
 ])
 def test_pairwise_switches_off_preserve_xmark_results(xmark_engine,
                                                       reference_results, pair):

@@ -11,9 +11,9 @@ Three layers of checking, per axis:
 * **whole queries** — one query per axis (plus attribute-context and
   reverse-positional shapes) must serialize identically across engine
   configurations (vectorized, iterative fallback, pushdown off, fusion
-  on/off, codegen on/off, untyped columns) and against the tree-walking
-  baseline interpreter, and the explain trace must show the default
-  configuration never takes the iterative fallback.
+  on/off, untyped columns) and against the tree-walking baseline
+  interpreter, and the explain trace must show the default configuration
+  never takes the iterative fallback.
 """
 
 from __future__ import annotations
@@ -172,13 +172,12 @@ CONFIGURATIONS = [
     ("iterative-other", EngineOptions(loop_lifted_other=False)),
     ("no-pushdown", EngineOptions(nametest_pushdown=False)),
     ("no-fusion", EngineOptions(step_fusion=False)),
-    ("no-codegen", EngineOptions(codegen=False)),
     ("untyped", EngineOptions(typed_columns=False)),
     ("naive-steps", EngineOptions(loop_lifted_child=False,
                                   loop_lifted_descendant=False,
                                   loop_lifted_other=False,
                                   nametest_pushdown=False,
-                                  step_fusion=False, codegen=False)),
+                                  step_fusion=False)),
 ]
 
 

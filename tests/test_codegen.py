@@ -1,24 +1,34 @@
-"""Plan-to-Python codegen: compiled closures vs. the interpreter.
+"""Plan-to-Python codegen: the compiled closures are the only executor.
 
-Every covered operator kind must execute bit-identically through its
-specialized closure; uncovered subtrees (node constructors, user
-functions) must fall back per node with a reported reason; and the
+Every operator kind must execute through its specialized closure and
+agree with the independent tree-walking interpreter
+(:mod:`repro.baselines`); every node of every plan root — user-function
+bodies included — must compile; dynamic errors must stay dynamic; and the
 compiled program must share the plan cache's lifecycle (store-version
-invalidation, options keying).
+invalidation).
 """
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from repro import EngineOptions, MonetXQuery
+from repro import MonetXQuery
+from repro.baselines.interpreter import run_baseline
+from repro.errors import (ReproError, XQueryTypeError,
+                          XQueryUnsupportedError)
 from repro.relational import capture
+from repro.xmark import XMARK_QUERIES
+from repro.xml.serializer import serialize_sequence
 from repro.xquery.codegen import CompiledProgram, compile_plan
 
 from conftest import SMALL_XML
+from test_differential import (generated_chain_queries,
+                               generated_join_queries, generated_queries)
 
 
-#: one query per covered operator kind (some exercise several at once)
+#: one query per operator kind (some exercise several at once)
 KIND_QUERIES = {
     "const": "42",
     "seq": "(1, 2, 3)",
@@ -53,7 +63,44 @@ KIND_QUERIES = {
                    "satisfies $b/increase/text() >= 5 "
                    "return $a/@id"),
     "var-global": "declare variable $n := count(//person); $n + 1",
+    # constructors and user functions: the shapes the interpreter fallback
+    # used to keep off the compiled path
+    "elem": ("for $p in /site/people/person "
+             "return <n>{count($p/profile/interest)}</n>"),
+    "elem-avt-mixed": ('for $p in /site/people/person return '
+                       '<p id="x{$p/@id}-{count($p/profile/interest)}y"/>'),
+    "elem-avt-sequence": '<r a="{1 to 3}|{()}|"/>',
+    "elem-empty-content": "<r>{()}</r>",
+    "elem-many-iterations": ('for $i in (1, 2, 3) '
+                             'return <e n="{$i}">{$i, "t"}<f>{$i * 2}</f></e>'),
+    "elem-copies-subtrees": ("for $a in /site/closed_auctions/closed_auction "
+                             "return <sold>{$a/price, $a/buyer/@person}</sold>"),
+    "text-multi-item": 'for $i in (1, 2) return text { ($i, "a", 3) }',
+    "text-empty": "<r>{text { () }}</r>",
+    "user-function": ("declare function local:inc($x) { $x + 1 }; "
+                      "(local:inc(1), local:inc(1), local:inc(41))"),
+    "user-function-constructor": (
+        "declare function local:wrap($p) { <w>{$p/name/text()}</w> }; "
+        "for $p in /site/people/person return local:wrap($p)"),
+    "user-function-in-predicate": (
+        "declare function local:rich($p) { $p/profile/@income >= 40000 }; "
+        "/site/people/person[local:rich(.)]/name/text()"),
+    "user-function-in-where": (
+        "declare function local:rich($p) { $p/profile/@income >= 40000 }; "
+        "for $p in /site/people/person "
+        "where local:rich($p) return $p/name/text()"),
+    "user-function-in-order-by": (
+        "declare function local:key($p) { $p/name/text() }; "
+        "for $p in /site/people/person "
+        "order by local:key($p) descending return $p/@id"),
+    "user-function-nested": (
+        "declare function local:double($x) { $x * 2 }; "
+        "declare function local:quad($x) { local:double(local:double($x)) }; "
+        "local:quad(3)"),
 }
+
+#: kinds whose closure is emitted inline by the enclosing operator
+STRUCTURAL_KINDS = {"for", "let", "orderspec", "avt"}
 
 
 @pytest.fixture
@@ -63,69 +110,105 @@ def engine() -> MonetXQuery:
     return mxq
 
 
-class TestPerKindBitIdentity:
+def assert_fully_compiled(prepared) -> None:
+    program = prepared.compiled
+    assert program.fallbacks == {}
+    assert compile_plan(prepared.plan, prepared.options).fallbacks == {}
+    for root in prepared.plan.roots():
+        for node in root.walk():
+            assert node.id in program.by_id \
+                or node.kind in STRUCTURAL_KINDS, (prepared.text, node.kind)
+
+
+class TestPerKindAgainstReference:
     @pytest.mark.parametrize("kind", sorted(KIND_QUERIES))
-    def test_compiled_matches_interpreted(self, engine, kind):
+    def test_compiled_matches_reference(self, engine, kind):
         query = KIND_QUERIES[kind]
         with capture() as trace:
-            compiled = engine.query(
-                query, options=EngineOptions(codegen=True))
-        interpreted = engine.query(
-            query, options=EngineOptions(codegen=False))
-        assert compiled.serialize() == interpreted.serialize(), query
-        # the compiled path must actually have been taken
+            compiled = engine.query(query)
+        reference = serialize_sequence(
+            run_baseline(engine.store, query, "auction.xml"))
+        assert compiled.serialize() == reference, query
+        assert_fully_compiled(engine.prepare(query))
+        # one compiled program ran, with nothing left uncompiled
         assert trace.count("plan.codegen") == 1
+        assert [entry.rows_out for entry in trace.entries
+                if entry.algorithm == "plan.codegen"] == [0]
 
-    def test_interpreter_run_emits_no_codegen_trace(self, engine):
-        with capture() as trace:
-            engine.query("count(//person)",
-                         options=EngineOptions(codegen=False))
-        assert trace.count("plan.codegen") == 0
+    def test_constructor_results(self, engine):
+        """Spot values, independent of either engine's serializer path."""
+        assert engine.query(KIND_QUERIES["elem-avt-sequence"]).serialize() \
+            == '<r a="1 2 3||"/>'
+        assert engine.query(KIND_QUERIES["elem-many-iterations"]) \
+            .serialize() == ('<e n="1">1 t<f>2</f></e>'
+                             '<e n="2">2 t<f>4</f></e>'
+                             '<e n="3">3 t<f>6</f></e>')
+        assert engine.query(KIND_QUERIES["text-multi-item"]).serialize() \
+            == "1 a 32 a 3"
+        assert engine.query(KIND_QUERIES["user-function-in-where"]) \
+            .strings() == ["Alice"]
 
 
-class TestFallbacks:
-    def test_constructor_subtree_falls_back(self, engine):
-        prepared = engine.prepare(
-            "for $p in /site/people/person "
-            "return <n>{count($p/profile/interest)}</n>")
-        assert prepared.compiled is not None
-        assert "node constructor" in prepared.compiled.fallbacks.values()
-        # covered operators around the constructor still compile
-        assert prepared.compiled.compiled_count > 0
-        compiled = prepared.run().serialize()
-        interpreted = engine.query(
-            prepared.text, options=EngineOptions(codegen=False)).serialize()
-        assert compiled == interpreted
+class TestCoverage:
+    """Every node of every root compiles: there is nothing to fall back to."""
 
-    def test_user_function_falls_back_but_body_compiles(self, engine):
-        query = ("declare function local:rich($p) "
-                 "{ $p/profile/@income >= 40000 }; "
-                 "for $p in /site/people/person "
-                 "where local:rich($p) return $p/name/text()")
+    def test_differential_corpus_fully_compiled(self, engine):
+        corpus = (generated_queries() + generated_chain_queries()
+                  + generated_join_queries())
+        for query in corpus:
+            assert_fully_compiled(engine.prepare(query))
+
+    def test_xmark_queries_fully_compiled(self, xmark_engine):
+        for number in sorted(XMARK_QUERIES):
+            assert_fully_compiled(xmark_engine.prepare(XMARK_QUERIES[number]))
+
+    def test_function_bodies_are_roots(self, engine):
+        prepared = engine.prepare(KIND_QUERIES["user-function-constructor"])
+        body = prepared.plan.functions["local:wrap"].body
+        assert body.kind == "elem"
+        assert body.id in prepared.compiled.by_id
+
+    def test_explain_carries_no_executor_annotations(self, engine):
+        rendered = engine.explain(KIND_QUERIES["user-function-constructor"])
+        assert "interpreted" not in rendered
+        assert "codegen" not in rendered
+
+
+class TestErrorTiming:
+    """Dynamic errors surface from ``run()``, never from ``prepare()`` or
+    ``explain()`` — only syntax errors are raised at prepare time."""
+
+    CASES = [
+        ("nosuch(1)", XQueryUnsupportedError, "unknown function nosuch()"),
+        ("for $p in //person return <n>{nosuch($p)}</n>",
+         XQueryUnsupportedError, "unknown function nosuch()"),
+        ("declare function local:f($x) { $x }; local:f(1, 2)",
+         XQueryTypeError, "expects 1 arguments, got 2"),
+        ("declare function local:f($x) { local:f($x) }; local:f(1)",
+         XQueryUnsupportedError, "recursive user function local:f()"),
+        ("declare function local:a($x) { local:b($x) }; "
+         "declare function local:b($x) { local:a($x) }; local:a(1)",
+         XQueryUnsupportedError, "recursive user function local:a()"),
+    ]
+
+    @pytest.mark.parametrize("query,error,message", CASES)
+    def test_raised_at_run_time_only(self, engine, query, error, message):
         prepared = engine.prepare(query)
-        assert "user function" in prepared.compiled.fallbacks.values()
-        # the function *body*'s operators are covered: they run through
-        # compiled closures when the interpreter evaluates the call
-        assert prepared.compiled.compiled_count > 0
-        assert prepared.run().strings() == ["Alice"]
+        assert prepared.explain()
+        assert_fully_compiled(prepared)
+        with pytest.raises(error, match=re.escape(message)) as raised:
+            prepared.run()
+        assert isinstance(raised.value, ReproError)
 
-    def test_fallback_reasons_in_explain(self, engine):
-        rendered = engine.explain(
-            "for $p in /site/people/person return <n>{$p/name}</n>")
-        assert "(interpreted: node constructor)" in rendered
-        assert "(codegen)" in rendered
+    def test_repeated_calls_are_not_recursion(self, engine):
+        """The recursion guard unwinds after each call: calling the same
+        function twice in one execution is not recursion."""
+        query = ("declare function local:inv($x) { 1 div $x }; "
+                 "(local:inv(1), local:inv(2))")
+        assert engine.query(query).items == [1.0, 0.5]
 
-    def test_coverage_report_always_fires(self, engine):
-        # coverage is computed unconditionally so plan dumps agree
-        for codegen in (True, False):
-            prepared = engine.prepare(
-                "count(//person)", options=EngineOptions(codegen=codegen))
-            assert prepared.plan.report.fired("codegen")
-
-    def test_fallback_report_entries(self, engine):
-        prepared = engine.prepare("<r>{count(//person)}</r>")
-        entries = prepared.plan.report.fired("codegen-fallback")
-        assert any("node constructor" in entry for entry in entries)
+    def test_unreached_unknown_function_is_harmless(self, engine):
+        assert engine.query("if (1 = 1) then 7 else nosuch()").items == [7]
 
 
 class TestPlanCacheIntegration:
@@ -145,52 +228,18 @@ class TestPlanCacheIntegration:
         assert after.compiled is not before.compiled
         assert after.run().items == [3]
 
-    def test_codegen_off_prepares_without_compiled_program(self, engine):
-        prepared = engine.prepare("count(//person)",
-                                  options=EngineOptions(codegen=False))
-        assert prepared.compiled is None
-        assert prepared.run().items == [3]
-
-    def test_options_keying_separates_compiled_and_interpreted(self, engine):
-        compiled = engine.prepare("count(//person)",
-                                  options=EngineOptions(codegen=True))
-        interpreted = engine.prepare("count(//person)",
-                                     options=EngineOptions(codegen=False))
-        assert compiled is not interpreted
-
-    def test_stats_counters(self, engine):
-        engine.prepare("count(//person)")
-        engine.prepare("count(//person)")        # cache hit: no recount
-        engine.prepare("<r>{count(//person)}</r>")
-        stats = engine.plan_cache_stats_snapshot()
-        assert stats.compiled == 2
-        assert stats.codegen_fallbacks >= 1      # the element constructor
-        cleared = engine.plan_cache_stats
-        cleared.clear()
-        assert cleared.compiled == cleared.codegen_fallbacks == 0
-
-    def test_codegen_off_counts_nothing(self):
-        engine = MonetXQuery(EngineOptions(codegen=False))
-        engine.load_document_text(SMALL_XML, name="auction.xml")
-        engine.prepare("count(//person)")
-        stats = engine.plan_cache_stats_snapshot()
-        assert stats.compiled == 0
-        assert stats.codegen_fallbacks == 0
-
-
-class TestPlanRenderParity:
-    def test_plan_render_identical_with_and_without_codegen(self, engine):
-        """The codegen switch changes execution only: the optimized plan
-        (including the coverage annotations) renders byte-identically."""
-        queries = [
-            "count(//person)",
-            "for $p in /site/people/person return <n>{$p/name}</n>",
-            KIND_QUERIES["flwor-join"],
-        ]
-        for query in queries:
-            on = engine.prepare(query, options=EngineOptions(codegen=True))
-            off = engine.prepare(query, options=EngineOptions(codegen=False))
-            assert on.explain() == off.explain(), query
+    def test_execute_module_shares_the_prepare_pipeline(self, engine):
+        """``execute(module)`` builds the same kind of prepared query as
+        ``prepare(text)`` — compiled, uncached."""
+        query = KIND_QUERIES["elem"]
+        before = engine.plan_cache_stats_snapshot()
+        with capture() as trace:
+            result = engine.execute(engine.parse(query))
+        assert trace.count("plan.codegen") == 1
+        engine.reset_transient()
+        assert result.serialize() == engine.query(query).serialize()
+        after = engine.plan_cache_stats_snapshot()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 1)
 
 
 class TestPositionalFusedChains:
@@ -212,25 +261,15 @@ class TestPositionalFusedChains:
             fused = engine.query(query)
         assert trace.count("step.chain-positional") >= 1, query
         baseline = engine.query(
-            query, options=EngineOptions(step_fusion=False))
+            query, options=engine.options.replace(step_fusion=False))
         assert fused.serialize() == baseline.serialize(), query
-
-    def test_positional_chain_under_interpreter_too(self, engine):
-        """The chain runner is shared: the interpreter (codegen=False)
-        takes the same positional fused path."""
-        with capture() as trace:
-            result = engine.query("/site/people/person[2]/name",
-                                  options=EngineOptions(codegen=False))
-        assert trace.count("step.chain-positional") == 1
-        assert result.strings() == ["Bob"]
 
 
 class TestCompileFunction:
-    def test_compile_plan_covers_and_reports(self, engine):
+    def test_compile_plan_counts_its_closures(self, engine):
         prepared = engine.prepare("count(//person)")
         program = compile_plan(prepared.plan, prepared.options)
-        assert program.compiled_count > 0
-        assert program.fallbacks == {}
+        assert program.compiled_count == len(program.by_id) > 0
 
     def test_compiled_program_is_shareable(self, engine):
         """One CompiledProgram serves many executions (and threads): the
@@ -242,7 +281,7 @@ class TestCompileFunction:
 
 
 class TestServingIntegration:
-    def test_server_stats_render_counters(self):
+    def test_server_stats_render_plan_counters(self):
         from repro.server import QueryServer
 
         with QueryServer(threads=2) as server:
@@ -250,10 +289,8 @@ class TestServingIntegration:
             for _ in range(3):
                 assert server.execute("count(//person)").items == [3]
             stats = server.stats()
-            assert stats.plan_cache.compiled >= 1
-            rendered = stats.render()
-            assert "compiled=" in rendered
-            assert "fallback=" in rendered
+            assert (stats.plan_cache.hits, stats.plan_cache.misses) == (2, 1)
+            assert "plans[hit=2 miss=1 evict=0]" in stats.render()
 
     def test_process_pool_serves_compiled_plans(self):
         from repro.server import QueryServer

@@ -703,33 +703,19 @@ def test_multi_join_fuzzer_long_mode(differential_engine):
                 f"interpreter on:\n{query}")
 
 
-def test_codegen_switch_is_ablated():
-    """``codegen`` must be part of the generic harness: OPTION_NAMES is
-    derived from the dataclass fields, so the single-switch configuration
-    and the sampled combinations pick it up automatically."""
-    assert "codegen" in OPTION_NAMES
-    names = [name for name, _ in option_configurations()]
-    assert "no-codegen" in names
-
-
-def test_codegen_bit_identical_to_interpreter(differential_engine,
-                                              baseline_results,
-                                              chain_baseline_results,
-                                              join_baseline_results):
-    """codegen=True (the default) and the pure interpreter must serialize
-    identically on all three fuzzed corpora — compiled closures may change
-    *how* a plan executes, never its bytes."""
-    compiled_options = EngineOptions(codegen=True)
-    interpreted_options = EngineOptions(codegen=False)
+def test_compiled_plans_match_the_outside_reference(differential_engine,
+                                                    baseline_results,
+                                                    chain_baseline_results,
+                                                    join_baseline_results):
+    """The compiled closures are the only executor; on all three fuzzed
+    corpora they must serialize exactly what the independent tree-walking
+    interpreter (``run_baseline``) produces, with every operator compiled."""
     oracle = {**baseline_results, **chain_baseline_results,
               **join_baseline_results}
     for query, expected in oracle.items():
-        compiled_result = differential_engine.query(
-            query, options=compiled_options)
-        interpreted_result = differential_engine.query(
-            query, options=interpreted_options)
-        assert compiled_result.serialize() \
-            == interpreted_result.serialize() == expected, query
+        prepared = differential_engine.prepare(query)
+        assert prepared.compiled.fallbacks == {}, query
+        assert prepared.run().serialize() == expected, query
 
 
 def test_generator_covers_the_query_families():

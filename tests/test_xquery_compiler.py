@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro import MonetXQuery
+from repro.baselines.interpreter import run_baseline
 from repro.errors import (XQueryRuntimeError, XQueryTypeError,
                           XQueryUnsupportedError)
 
@@ -31,6 +32,22 @@ class TestBasics:
 
     def test_division_produces_float(self, engine):
         assert run(engine, "7 div 2").items == [3.5]
+
+    @pytest.mark.parametrize("query", [
+        "1 div 0", "1 idiv 0", "1 mod 0",
+        # no separate xs:double: a float divisor is an xs:decimal, so a
+        # 0.0 divisor raises too instead of yielding INF/NaN
+        "1 div 0.0", "1.5 mod 0.0", "for $x in (2, 0) return 6 idiv $x",
+    ])
+    def test_division_by_zero_raises_foar0001(self, engine, query):
+        with pytest.raises(XQueryRuntimeError, match="err:FOAR0001"):
+            run(engine, query)
+        # the oracle shares the arithmetic kernel, so it agrees
+        with pytest.raises(XQueryRuntimeError, match="err:FOAR0001"):
+            run_baseline(engine.store, query, "auction.xml")
+
+    def test_zero_dividend_is_fine(self, engine):
+        assert run(engine, "(0 div 4, 0 idiv 4, 0 mod 4)").items == [0.0, 0, 0]
 
     def test_range_expression(self, engine):
         assert run(engine, "2 to 5").items == [2, 3, 4, 5]
