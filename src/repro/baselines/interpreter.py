@@ -268,7 +268,7 @@ class TreeWalkingInterpreter:
             if axis is Axis.PARENT:
                 return self._axis_nodes(
                     owner, ast.AxisStep(axis=Axis.SELF, node_test=test))
-            if axis is Axis.SELF:
+            if axis in (Axis.SELF, Axis.DESCENDANT_OR_SELF):
                 return [node] if test.kind in ("attribute", "node") else []
             if axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
                 produced = [node] if axis is Axis.ANCESTOR_OR_SELF \

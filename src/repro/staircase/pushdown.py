@@ -17,12 +17,13 @@ document).
 from __future__ import annotations
 
 import bisect
+from array import array
 
 from ..xml.document import DocumentContainer
 from .axes import Axis, NodeTest
 from .iterative import StaircaseStats
 from .loop_lifted import (ContextPairs, ResultPairs, ancestor_stack_scan,
-                          ll_attribute, loop_lifted_step, normalize_context)
+                          normalize_context, pairs_to_arrays)
 
 
 def candidate_list(container: DocumentContainer, node_test: NodeTest) -> list[int] | None:
@@ -37,83 +38,101 @@ def candidate_list(container: DocumentContainer, node_test: NodeTest) -> list[in
     return container.candidates_by_name(node_test.name)
 
 
-def ll_child_pushdown(container: DocumentContainer, context: ContextPairs,
-                      candidates: list[int], *,
-                      stats: StaircaseStats | None = None,
-                      normalized: bool = False) -> ResultPairs:
-    """Loop-lifted child step against a sorted candidate list.
-
-    For every (outermost-per-iteration) context node the candidates falling
-    inside its subtree are located with a range lookup; a candidate is a
-    child iff its level is one below the context node's level.
-    """
+def _enter(context: ContextPairs, stats: StaircaseStats | None,
+           normalized: bool) -> tuple[ContextPairs, StaircaseStats]:
+    """Kernel prologue: the normalized context and a stats sink."""
     if stats is None:
         stats = StaircaseStats()
     if not normalized:
         context = normalize_context(context)
     stats.contexts_seen += len(context)
-    result: ResultPairs = []
+    return context, stats
+
+
+def _pre_iter_order(iters: array, pres: array, in_order: bool
+                    ) -> "tuple[array, array]":
+    """Paired ``(iter, pre)`` result arrays in the kernels' ``(pre, iter)``
+    output order; ``in_order`` says the emission order already is."""
+    if not in_order:
+        pres, iters = pairs_to_arrays(sorted(zip(pres, iters)))
+    return iters, pres
+
+
+def ll_child_pushdown(container: DocumentContainer, context: ContextPairs,
+                      candidates: list[int], *,
+                      stats: StaircaseStats | None = None,
+                      normalized: bool = False) -> "tuple[array, array]":
+    """Loop-lifted child step against a sorted candidate list.
+
+    For every context node the candidates falling inside its subtree are
+    one ``bisect`` + slice; a candidate is a child iff its level is one
+    below the context node's level.  Returns paired ``(iter, pre)`` arrays.
+    """
+    context, stats = _enter(context, stats, normalized)
+    out_iters = array("q")
+    out_pres = array("q")
     size = container.size
     level = container.level
+    bisect_right = bisect.bisect_right
+    scanned = len(context)
+    frontier = -1               # contexts past it emit in (pre, iter) order
+    in_order = True
     for pre, iteration in context:
-        stats.touch()
         end = pre + size[pre]
+        if pre <= frontier:
+            in_order = False
+        if end > frontier:
+            frontier = end
+        start = bisect_right(candidates, pre)
+        stop = bisect_right(candidates, end, start)
+        scanned += stop - start
         child_level = level[pre] + 1
-        start = bisect.bisect_right(candidates, pre)
-        position = start
-        while position < len(candidates) and candidates[position] <= end:
-            candidate = candidates[position]
-            stats.touch()
+        for candidate in candidates[start:stop]:
             if level[candidate] == child_level:
-                result.append((iteration, candidate))
-            position += 1
-    result.sort(key=lambda pair: (pair[1], pair[0]))
-    return result
+                out_iters.append(iteration)
+                out_pres.append(candidate)
+    stats.touch(scanned)
+    return _pre_iter_order(out_iters, out_pres, in_order)
 
 
 def ll_descendant_pushdown(container: DocumentContainer, context: ContextPairs,
                            candidates: list[int], *, or_self: bool = False,
                            stats: StaircaseStats | None = None,
-                           normalized: bool = False) -> ResultPairs:
+                           normalized: bool = False) -> "tuple[array, array]":
     """Loop-lifted descendant(-or-self) step against a sorted candidate list.
 
     Per iteration the context nodes are pruned to their outermost
     representatives; each surviving context contributes the candidates inside
-    its pre range, located by binary search (skipping over candidate-free
-    document regions entirely).
+    its pre range — one ``bisect`` + slice, skipping candidate-free document
+    regions entirely.  Returns paired ``(iter, pre)`` arrays.
     """
-    if stats is None:
-        stats = StaircaseStats()
-    if not normalized:
-        context = normalize_context(context)
-    stats.contexts_seen += len(context)
+    context, stats = _enter(context, stats, normalized)
     size = container.size
-
+    out_iters = array("q")
+    out_pres = array("q")
     # prune per iteration: keep only context nodes not covered by an earlier
     # context node of the same iteration
     covered_until: dict[int, int] = {}
-    pruned: ContextPairs = []
+    bisect_left, bisect_right = bisect.bisect_left, bisect.bisect_right
+    scanned = 0
+    frontier = -1               # contexts past it emit in (pre, iter) order
+    in_order = True
     for pre, iteration in context:
-        end = covered_until.get(iteration, -1)
-        if pre <= end:
+        if pre <= covered_until.get(iteration, -1):
             stats.contexts_pruned += 1
             continue
-        pruned.append((pre, iteration))
-        covered_until[iteration] = pre + size[pre]
-
-    result: ResultPairs = []
-    for pre, iteration in pruned:
-        stats.touch()
-        low = pre if or_self else pre + 1
-        high = pre + size[pre]
-        start = bisect.bisect_left(candidates, low)
-        position = start
-        while position < len(candidates) and candidates[position] <= high:
-            stats.touch()
-            result.append((iteration, candidates[position]))
-            position += 1
-    result.sort(key=lambda pair: (pair[1], pair[0]))
-    return result
+        end = covered_until[iteration] = pre + size[pre]
+        if pre <= frontier:
+            in_order = False
+        if end > frontier:
+            frontier = end
+        start = bisect_left(candidates, pre if or_self else pre + 1)
+        stop = bisect_right(candidates, end, start)
+        scanned += 1 + stop - start
+        out_iters.extend([iteration] * (stop - start))
+        out_pres.extend(candidates[start:stop])
+    stats.touch(scanned)
+    return _pre_iter_order(out_iters, out_pres, in_order)
 
 
 def ll_following_pushdown(container: DocumentContainer, context: ContextPairs,
@@ -126,11 +145,7 @@ def ll_following_pushdown(container: DocumentContainer, context: ContextPairs,
     context subtree end; one ``bisect`` finds the matching candidate
     suffix — no document scan, no post-filter.
     """
-    if stats is None:
-        stats = StaircaseStats()
-    if not normalized:
-        context = normalize_context(context)
-    stats.contexts_seen += len(context)
+    context, stats = _enter(context, stats, normalized)
     size = container.size
     bound: dict[int, int] = {}          # iteration -> min subtree end
     for pre, iteration in context:
@@ -157,11 +172,7 @@ def ll_preceding_pushdown(container: DocumentContainer, context: ContextPairs,
     qualify (one ``bisect``), and of those only the non-ancestors — the
     ``end < bound`` filter drops the O(depth) ancestors of the bound node.
     """
-    if stats is None:
-        stats = StaircaseStats()
-    if not normalized:
-        context = normalize_context(context)
-    stats.contexts_seen += len(context)
+    context, stats = _enter(context, stats, normalized)
     size = container.size
     bound: dict[int, int] = {}          # iteration -> max context pre
     for pre, iteration in context:
@@ -191,11 +202,7 @@ def ll_sibling_pushdown(container: DocumentContainer, context: ContextPairs,
     candidate is a sibling iff its level equals the context level —
     within the parent's subtree that pins it to the child level.
     """
-    if stats is None:
-        stats = StaircaseStats()
-    if not normalized:
-        context = normalize_context(context)
-    stats.contexts_seen += len(context)
+    context, stats = _enter(context, stats, normalized)
     size = container.size
     level = container.level
     groups: dict[tuple[int, int, int], int] = {}
@@ -219,10 +226,10 @@ def ll_sibling_pushdown(container: DocumentContainer, context: ContextPairs,
         else:
             low = bisect.bisect_right(candidates, parent)
             high = bisect.bisect_left(candidates, pre)
-        for candidate in candidates[low:high]:
-            stats.touch()
-            if level[candidate] == sibling_level:
-                result.append((iteration, candidate))
+        stats.touch(high - low)
+        result.extend((iteration, candidate)
+                      for candidate in candidates[low:high]
+                      if level[candidate] == sibling_level)
     result.sort(key=lambda pair: (pair[1], pair[0]))
     return result
 
@@ -230,14 +237,15 @@ def ll_sibling_pushdown(container: DocumentContainer, context: ContextPairs,
 def loop_lifted_step_pushdown(container: DocumentContainer, context: ContextPairs,
                               axis: Axis, node_test: NodeTest | None, *,
                               stats: StaircaseStats | None = None,
-                              normalized: bool = False) -> ResultPairs | None:
-    """Pushdown-enabled location step.
+                              normalized: bool = False
+                              ) -> "tuple[array, array] | None":
+    """Pushdown-enabled location step, as paired ``(iter, pre)`` arrays.
 
     Returns ``None`` when pushdown is not applicable for the axis/node-test
     combination, in which case the caller should use the post-filter variant
-    (:func:`repro.staircase.loop_lifted.loop_lifted_step`).  The self,
-    parent and ancestor axes stay on the post-filter path: their result
-    is bounded by the context (times depth) already, so the candidate
+    (:func:`repro.staircase.loop_lifted.loop_lifted_step_arrays`).  The
+    self, parent and ancestor axes stay on the post-filter path: their
+    result is bounded by the context (times depth) already, so the candidate
     merge buys nothing.  As with the plain array producers,
     ``normalized=True`` promises the context is already sorted on
     ``[pre, iter]`` and duplicate free.
@@ -248,25 +256,20 @@ def loop_lifted_step_pushdown(container: DocumentContainer, context: ContextPair
     if axis is Axis.CHILD:
         return ll_child_pushdown(container, context, candidates, stats=stats,
                                  normalized=normalized)
-    if axis is Axis.DESCENDANT:
+    if axis in (Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
         return ll_descendant_pushdown(container, context, candidates,
+                                      or_self=axis is Axis.DESCENDANT_OR_SELF,
                                       stats=stats, normalized=normalized)
-    if axis is Axis.DESCENDANT_OR_SELF:
-        return ll_descendant_pushdown(container, context, candidates,
-                                      or_self=True, stats=stats,
-                                      normalized=normalized)
     if axis is Axis.FOLLOWING:
-        return ll_following_pushdown(container, context, candidates,
-                                     stats=stats, normalized=normalized)
-    if axis is Axis.PRECEDING:
-        return ll_preceding_pushdown(container, context, candidates,
-                                     stats=stats, normalized=normalized)
-    if axis is Axis.FOLLOWING_SIBLING:
-        return ll_sibling_pushdown(container, context, candidates,
-                                   following=True, stats=stats,
-                                   normalized=normalized)
-    if axis is Axis.PRECEDING_SIBLING:
-        return ll_sibling_pushdown(container, context, candidates,
-                                   following=False, stats=stats,
-                                   normalized=normalized)
-    return None
+        pairs = ll_following_pushdown(container, context, candidates,
+                                      stats=stats, normalized=normalized)
+    elif axis is Axis.PRECEDING:
+        pairs = ll_preceding_pushdown(container, context, candidates,
+                                      stats=stats, normalized=normalized)
+    elif axis in (Axis.FOLLOWING_SIBLING, Axis.PRECEDING_SIBLING):
+        pairs = ll_sibling_pushdown(container, context, candidates,
+                                    following=axis is Axis.FOLLOWING_SIBLING,
+                                    stats=stats, normalized=normalized)
+    else:
+        return None
+    return pairs_to_arrays(pairs)

@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 
 from ..errors import XQueryUnsupportedError
 from ..relational.plan import PlanBuilder, PlanNode
+from ..staircase.axes import Axis
 from . import ast
 
 
@@ -110,6 +111,14 @@ def plan_module(module: ast.Module) -> ModulePlan:
 def plan_expression(expr: ast.Expr, builder: PlanBuilder | None = None) -> PlanNode:
     """Translate a single expression (test/tooling helper)."""
     return _Planner(builder if builder is not None else PlanBuilder()).plan(expr)
+
+
+def _is_slash_slash(node: PlanNode) -> bool:
+    """Whether a plan node is a bare ``descendant-or-self::node()`` step —
+    what the parser emits for the ``//`` abbreviation."""
+    return (node.kind == "step" and len(node.children) == 1
+            and node.p("axis") is Axis.DESCENDANT_OR_SELF
+            and node.p("test_kind") == "node")
 
 
 class _Planner:
@@ -226,9 +235,19 @@ class _Planner:
                     "only axis steps are supported inside a path")
             predicates = tuple(self.plan(predicate)
                                for predicate in step.predicates)
+            axis = step.axis
+            if axis is Axis.CHILD and not predicates \
+                    and _is_slash_slash(current):
+                # path normal form: descendant-or-self::node()/child::T is
+                # descendant::T on node sets, so `//T` never enumerates a
+                # whole subtree as an intermediate context — whichever way
+                # the plan is later shared, cached, fused or run step by
+                # step.  A predicate blocks it: `//b[1]` counts children per
+                # descendant-or-self node, `descendant::b[1]` does not.
+                axis, current = Axis.DESCENDANT, current.children[0]
             current = self.builder.node(
                 "step", (current,) + predicates,
-                axis=step.axis, test_kind=step.node_test.kind,
+                axis=axis, test_kind=step.node_test.kind,
                 test_name=step.node_test.name)
         return current
 

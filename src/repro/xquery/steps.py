@@ -32,13 +32,14 @@ appear once, at the chain's end, or never under dead-``item`` pruning.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import XQueryTypeError
 from ..relational.column import Column, IntColumn
 from ..relational.properties import TableProps
-from ..relational.sorting import sort_dedup_pairs
+from ..relational.sorting import argsort_ints, sort_dedup_pairs
 from ..relational.table import Table
 from ..relational import explain
 from ..staircase.axes import Axis, NodeTest
@@ -109,7 +110,7 @@ def _split_context(context: Table) -> dict[int, tuple[DocumentContainer,
 # — so following(attr) is descendant(owner) ∪ following(owner) while
 # preceding(attr) excludes the whole ancestor chain and collapses to
 # preceding(owner).  Sibling axes are empty for attributes, as are
-# child / descendant / attribute.
+# child / descendant / attribute; descendant-or-self is the attribute alone.
 _ATTR_OWNER_AXES: dict[Axis, tuple[Axis, ...]] = {
     Axis.PARENT: (Axis.SELF,),
     Axis.ANCESTOR: (Axis.ANCESTOR_OR_SELF,),
@@ -117,7 +118,7 @@ _ATTR_OWNER_AXES: dict[Axis, tuple[Axis, ...]] = {
     Axis.FOLLOWING: (Axis.DESCENDANT, Axis.FOLLOWING),
     Axis.PRECEDING: (Axis.PRECEDING,),
 }
-_ATTR_SELF_AXES = (Axis.SELF, Axis.ANCESTOR_OR_SELF)
+_ATTR_SELF_AXES = (Axis.SELF, Axis.ANCESTOR_OR_SELF, Axis.DESCENDANT_OR_SELF)
 
 
 def _produce_step(container: DocumentContainer, pairs: list[tuple[int, int]],
@@ -142,7 +143,7 @@ def _produce_step(container: DocumentContainer, pairs: list[tuple[int, int]],
                                                node_test, stats=stats,
                                                normalized=True)
             if pushed is not None:
-                iters, pres = pairs_to_arrays(pushed)
+                iters, pres = pushed
                 explain.record("step", "step.pushdown", len(pairs),
                                len(iters), detail=axis.value)
                 return iters, pres, False
@@ -223,36 +224,58 @@ def _produce_all(container: DocumentContainer,
 
 
 def _assemble_result(produced: list[tuple[DocumentContainer, array, array, bool]],
-                     contexts_in: int, need_item: bool, detail: str) -> Table:
+                     contexts_in: int, need_item: bool, detail: str, *,
+                     kernel_order: bool = True) -> Table:
     """Merge per-container ``(iter, rank)`` arrays into the result table.
 
-    Containers are merged in document order per iteration, duplicate free.
-    Rows are compared as plain int tuples — (iter, container order key,
+    One tree-node batch straight from a staircase kernel
+    (``kernel_order``) is duplicate free and in document order per
+    iteration already: it needs no row tuples, no dedup, and a sort — one
+    stable sort on ``iter`` — only when it spans several iterations.
+    Everything else (several containers or batches, attribute rows,
+    positional picks) is merged in document order per iteration, duplicate
+    free, comparing rows as plain int tuples — (iter, container order key,
     owner pre, attr flag, attr index) mirrors ``NodeRef.order_key()``
     exactly, so the sort/dedup never touches a boxed node surrogate.
     """
-    containers = [entry[0] for entry in produced]
-    rows: list[tuple[int, int, int, int, int, int]] = []
-    for cidx, (container, iters, ranks, is_attr) in enumerate(produced):
-        okey = container.order_key
-        if is_attr:
-            owners = container.attr_owner
-            rows.extend((iteration, okey, owners[rank], 1, rank, cidx)
-                        for iteration, rank in zip(iters, ranks))
-        else:
-            rows.extend((iteration, okey, rank, 0, 0, cidx)
-                        for iteration, rank in zip(iters, ranks))
-    rows.sort()
-    deduped: list[tuple[int, int, int, int, int, int]] = []
-    previous = None
-    for row in rows:
-        key = row[:5]
-        if previous is not None and key == previous:
-            continue
-        deduped.append(row)
-        previous = key
-
-    iters_out = array("q", (row[0] for row in deduped))
+    items: list[NodeRef] = []
+    if kernel_order and len(produced) == 1 and not produced[0][3]:
+        container, iters_out, pres, _ = produced[0]
+        if iters_out and iters_out.count(iters_out[0]) != len(iters_out):
+            if need_item:
+                order = argsort_ints(iters_out)
+                iters_out = array("q", map(iters_out.__getitem__, order))
+                pres = map(pres.__getitem__, order)
+            else:
+                iters_out = array("q", sorted(iters_out))
+        if need_item:
+            items = [NodeRef(container, pre) for pre in pres]
+    else:
+        rows: list[tuple[int, int, int, int, int, int]] = []
+        for cidx, (container, iters, ranks, is_attr) in enumerate(produced):
+            okey = container.order_key
+            if is_attr:
+                owners = container.attr_owner
+                rows.extend((iteration, okey, owners[rank], 1, rank, cidx)
+                            for iteration, rank in zip(iters, ranks))
+            else:
+                rows.extend((iteration, okey, rank, 0, 0, cidx)
+                            for iteration, rank in zip(iters, ranks))
+        rows.sort()
+        deduped: list[tuple[int, int, int, int, int, int]] = []
+        previous = None
+        for row in rows:
+            key = row[:5]
+            if previous is not None and key == previous:
+                continue
+            deduped.append(row)
+            previous = key
+        iters_out = array("q", (row[0] for row in deduped))
+        if need_item:
+            for _, _, pre, flag, rank, cidx in deduped:
+                container = produced[cidx][0]
+                items.append(container.attribute(rank) if flag
+                             else NodeRef(container, pre))
 
     if not need_item:
         # dead-item rewrite: per-iteration cardinalities survive, node
@@ -260,35 +283,20 @@ def _assemble_result(produced: list[tuple[DocumentContainer, array, array, bool]
         # alone — a constant pos column stands in (no per-row numbering)
         explain.record("step", "step.item-pruned", contexts_in,
                        len(iters_out), detail=detail)
-        table = Table([IntColumn("iter", iters_out),
-                       Column.constant("pos", 1, len(iters_out)),
-                       Column.constant("item", None, len(iters_out))],
-                      props=TableProps(order=("iter",)))
-        return table
+        return Table([IntColumn("iter", iters_out),
+                      Column.constant("pos", 1, len(iters_out)),
+                      Column.constant("item", None, len(iters_out))],
+                     props=TableProps(order=("iter",)))
 
     positions = array("q")
-    counter = 0
-    last_iter: int | None = None
-    for iteration in iters_out:
-        if iteration != last_iter:
-            counter = 0
-            last_iter = iteration
-        counter += 1
-        positions.append(counter)
-
-    items: list[NodeRef] = []
-    for _, _, pre, flag, rank, cidx in deduped:
-        container = containers[cidx]
-        items.append(container.attribute(rank) if flag
-                     else NodeRef(container, pre))
+    for run in Counter(iters_out).values():     # iters_out is sorted
+        positions.extend(range(1, run + 1))
     explain.record("step", "step.materialize", contexts_in,
                    len(items), detail=detail)
-
-    table = Table([IntColumn("iter", iters_out),
-                   IntColumn("pos", positions),
-                   Column("item", items)],
-                  props=TableProps(order=("iter", "pos")))
-    return table
+    return Table([IntColumn("iter", iters_out),
+                  IntColumn("pos", positions),
+                  Column("item", items)],
+                 props=TableProps(order=("iter", "pos")))
 
 
 def axis_step(context: Table, axis: Axis, node_test: NodeTest, *,
@@ -321,45 +329,6 @@ def axis_step(context: Table, axis: Axis, node_test: NodeTest, *,
         produced.extend((container,) + batch for batch in batches)
 
     return _assemble_result(produced, contexts_in, need_item, axis.value)
-
-
-def _step_spec(step: tuple) -> tuple | None:
-    """The positional spec of a chain step tuple (pairs carry none)."""
-    return step[2] if len(step) > 2 else None
-
-
-def _collapse_descendant_steps(steps: Sequence[tuple]) -> list[tuple]:
-    """Collapse ``descendant-or-self::node()/child::T`` pairs into
-    ``descendant::T`` inside a fused chain.
-
-    The classic XPath equivalence holds on node *sets* — a child of some
-    descendant-or-self of ``s`` is exactly a descendant of ``s`` — and the
-    intermediate contexts of a fused chain are per-iteration sets by
-    construction, so collapsing never changes the chain's result.  It does
-    change the work profile radically: the ``//x`` parse shape no longer
-    enumerates the whole subtree as an intermediate context, it becomes a
-    single (usually name-index-backed) descendant join.
-
-    Steps carrying a positional spec never collapse: ``//b[1]`` counts
-    children per *each* descendant-or-self context node, which the merged
-    descendant join cannot express.
-    """
-    collapsed: list[tuple] = []
-    index = 0
-    while index < len(steps):
-        step = steps[index]
-        axis, node_test = step[0], step[1]
-        if (axis is Axis.DESCENDANT_OR_SELF and node_test.kind == "node"
-                and not node_test.has_name and _step_spec(step) is None
-                and index + 1 < len(steps)
-                and steps[index + 1][0] is Axis.CHILD
-                and _step_spec(steps[index + 1]) is None):
-            collapsed.append((Axis.DESCENDANT,) + tuple(steps[index + 1][1:]))
-            index += 2
-            continue
-        collapsed.append(step)
-        index += 1
-    return collapsed
 
 
 def _positional_step(container: DocumentContainer,
@@ -479,7 +448,6 @@ def axis_step_chain(context: Table,
                   for step in steps]
     if any(axis is Axis.ATTRIBUTE for axis, _, _ in normalized[:-1]):
         raise ValueError("the attribute axis can only end a fused chain")
-    normalized = _collapse_descendant_steps(normalized)
 
     per_container = _split_context(context)
     produced: list[tuple[DocumentContainer, array, array, bool]] = []
@@ -520,4 +488,5 @@ def axis_step_chain(context: Table,
     total_out = sum(len(entry[1]) for entry in produced)
     explain.record("step", "step.chain-fused", contexts_in, total_out,
                    detail=detail)
-    return _assemble_result(produced, contexts_in, need_item, detail)
+    return _assemble_result(produced, contexts_in, need_item, detail,
+                            kernel_order=normalized[-1][2] is None)

@@ -345,6 +345,40 @@ def chain_configurations() -> list[tuple[str, EngineOptions]]:
 
 
 # --------------------------------------------------------------------------- #
+# shared `//` prefixes (the XMark Q7 shape)
+# --------------------------------------------------------------------------- #
+SHARED_PREFIX_SEED = 71707
+SHARED_PREFIX_COUNT = 12
+
+
+def generated_shared_prefix_queries() -> list[str]:
+    """One ``for`` variable whose ``//`` prefix feeds two or three consumers.
+
+    Common-subexpression sharing used to mark the consumers' common
+    ``descendant-or-self::node()`` step, which kept it out of every fused
+    chain; the corpus pins the shape down under sharing, caching and every
+    switch — name, wildcard, kind-test, attribute and positional consumers
+    (the last two must keep the per-context ``//`` semantics)."""
+    rng = random.Random(SHARED_PREFIX_SEED)
+    bases = ["/site", "/site/regions", "/site/people/person", "//open_auction",
+             "/site/*", "/site/regions//item"]
+    tests = PathChainFuzzer.TAGS + ["*", "text()", "node()", "@id",
+                                    "name[1]", "bidder[last()]"]
+    queries: list[str] = []
+    while len(queries) < SHARED_PREFIX_COUNT:
+        consumers = [f"$p//{test}"
+                     for test in rng.sample(tests, rng.randint(2, 3))]
+        if rng.random() < 0.5:
+            body = " + ".join(f"count({path})" for path in consumers)
+        else:
+            body = "(" + ", ".join(consumers) + ")"
+        query = f"for $p in {rng.choice(bases)} return {body}"
+        if query not in queries:
+            queries.append(query)
+    return queries
+
+
+# --------------------------------------------------------------------------- #
 # the multi-join fuzzer (worst-case-optimal join differential coverage)
 # --------------------------------------------------------------------------- #
 JOIN_SEED = 60301
@@ -607,6 +641,51 @@ def test_fused_chains_bit_identical_to_per_step_baseline(
         per_step_result = differential_engine.query(query, options=per_step)
         assert fused_result.serialize() == per_step_result.serialize() \
             == chain_baseline_results[query], query
+
+
+@pytest.fixture(scope="module")
+def shared_prefix_baseline_results(differential_engine) -> dict[str, str]:
+    """The oracle for the shared-``//``-prefix corpus."""
+    return {query: serialize_sequence(run_baseline(
+                differential_engine.store, query, "auction.xml"))
+            for query in generated_shared_prefix_queries()}
+
+
+@pytest.mark.parametrize("config_name,options", option_configurations(),
+                         ids=[name for name, _ in option_configurations()])
+def test_shared_slash_slash_prefixes_against_baseline(
+        differential_engine, shared_prefix_baseline_results,
+        config_name, options):
+    for query, expected in shared_prefix_baseline_results.items():
+        result = differential_engine.query(query, options=options)
+        assert result.serialize() == expected, (
+            f"configuration {config_name!r} diverged from the baseline "
+            f"interpreter on:\n{query}")
+
+
+def test_shared_prefix_corpus_has_the_q7_shape():
+    queries = generated_shared_prefix_queries()
+    assert queries == generated_shared_prefix_queries()
+    assert all(query.count("$p//") >= 2 for query in queries)
+    assert any("count(" in query for query in queries)
+    assert any("[1]" in query or "[last()]" in query or "@id" in query
+               for query in queries)
+
+
+def test_path_corpora_through_the_server(chain_baseline_results,
+                                         shared_prefix_baseline_results):
+    """The path normal form must hold behind the server too, where every
+    absolute ``//`` intermediate used to be a cache-marked chain boundary:
+    both path corpora run through ``QueryServer(threads=2)`` with its
+    subplan cache attached and must match the interpreter."""
+    from repro.server import QueryServer
+
+    with QueryServer(threads=2) as server:
+        server.load_document_text(SMALL_XML, name="auction.xml")
+        assert server.subplan_cache is not None
+        for query, expected in {**chain_baseline_results,
+                                **shared_prefix_baseline_results}.items():
+            assert server.execute(query).serialize() == expected, query
 
 
 @pytest.fixture(scope="module")

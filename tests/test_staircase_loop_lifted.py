@@ -116,7 +116,7 @@ class TestPushdown:
         pairs = sorted([(a, 1), (f, 2)])
         test = NodeTest(kind="element", name="h")
         candidates = doc.candidates_by_name("h")
-        pushed = set(ll_child_pushdown(doc, pairs, candidates))
+        pushed = set(zip(*ll_child_pushdown(doc, pairs, candidates)))
         plain = set(loop_lifted_step(doc, pairs, Axis.CHILD, test))
         assert pushed == plain
 
@@ -124,7 +124,7 @@ class TestPushdown:
         pairs = [(0, 1), (by_name(doc, "b"), 2)]
         test = NodeTest(kind="element", name="e")
         candidates = doc.candidates_by_name("e")
-        pushed = set(ll_descendant_pushdown(doc, pairs, candidates))
+        pushed = set(zip(*ll_descendant_pushdown(doc, pairs, candidates)))
         plain = set(loop_lifted_step(doc, pairs, Axis.DESCENDANT, test))
         assert pushed == plain
 

@@ -16,7 +16,8 @@ from repro import EngineOptions, MonetXQuery
 from repro.relational.explain import capture
 from repro.server import SubplanCache
 from repro.staircase.axes import Axis, NodeTest
-from repro.xquery.steps import _collapse_descendant_steps, axis_step_chain
+from repro.xmark import XMARK_QUERIES
+from repro.xquery.steps import axis_step_chain
 
 from conftest import SMALL_XML
 
@@ -200,7 +201,7 @@ class TestSharedSubplanBoundaries:
     def test_shared_prefix_stays_memoised(self, engine):
         """A path prefix referenced twice is memoised (CSE); the chain must
         not absorb it, and both consumers still agree with the baseline."""
-        query = "count(//person/name) + count(//person)"
+        query = "count(//person/name/text()) + count(//person)"
         with capture() as trace:
             fused = engine.query(query, options=FUSED).items
         per_step = engine.query(query, options=PER_STEP).items
@@ -224,14 +225,91 @@ class TestChainEvaluatorContracts:
                 (Axis.CHILD, NodeTest(kind="element")),
             ])
 
-    def test_descendant_collapse_rewrites_slash_slash_shapes(self):
-        dos = (Axis.DESCENDANT_OR_SELF, NodeTest(kind="node"))
-        child_b = (Axis.CHILD, NodeTest(kind="element", name="b"))
-        child_c = (Axis.CHILD, NodeTest(kind="element", name="c"))
-        collapsed = _collapse_descendant_steps([dos, child_b, dos, child_c])
-        assert collapsed == [
-            (Axis.DESCENDANT, NodeTest(kind="element", name="b")),
-            (Axis.DESCENDANT, NodeTest(kind="element", name="c")),
-        ]
-        # a dos step not followed by a child step is left alone
-        assert _collapse_descendant_steps([child_b, dos]) == [child_b, dos]
+
+class TestPathNormalForm:
+    """``descendant-or-self::node()/child::T`` is built as ``descendant::T``
+    while the plan is constructed — a property of the plan, so it holds in
+    every execution mode — and only where no predicate makes the two
+    differ."""
+
+    @pytest.mark.parametrize("query", [
+        XMARK_QUERIES[6], XMARK_QUERIES[7], XMARK_QUERIES[14],
+        "count(//item)", "/site//item", "//a//b//c",
+        "for $p in /site return count($p//item) + count($p//person)",
+    ])
+    @pytest.mark.parametrize("options", [FUSED, PER_STEP], ids=["fused", "per-step"])
+    def test_slash_slash_is_a_descendant_step(self, engine, query, options):
+        dump = engine.explain(query, options=options)
+        assert "axis=descendant," in dump
+        assert "descendant-or-self" not in dump
+
+    @pytest.mark.parametrize("query, kept", [
+        ("//b[1]", "axis=child, test_kind='element', test_name='b'"),
+        ("//b[last()]", "axis=child, test_kind='element', test_name='b'"),
+        ("/descendant-or-self::node()/child::c[2]",
+         "axis=child, test_kind='element', test_name='c'"),
+        ("//@id", "axis=attribute"),
+        ("//text()[1]", "axis=child, test_kind='text'"),
+        ("/a/descendant-or-self::node()", "axis=child"),
+    ])
+    def test_predicated_and_non_child_shapes_keep_their_plan(self, engine,
+                                                             query, kept):
+        dump = engine.explain(query)
+        assert "axis=descendant-or-self, test_kind='node'" in dump
+        assert kept in dump
+        assert "axis=descendant," not in dump
+
+    def test_shared_slash_slash_prefix_probes_the_name_index(self, xmark_engine):
+        """The Q7 shape: three ``$p//T`` under one ``for`` used to share one
+        memoised descendant-or-self step that no chain could absorb."""
+        with capture() as trace:
+            xmark_engine.query(XMARK_QUERIES[7])
+        assert [entry.detail for entry in trace.entries
+                if entry.algorithm == "step.pushdown"].count("descendant") == 3
+
+
+class TestSlashSlashWorkCounts:
+    """Counts, not clocks: a ``//T`` under a ``for`` variable or behind the
+    server touches about as many rows as it returns — it never enumerates
+    the document as a ``descendant-or-self::node()`` context."""
+
+    @pytest.fixture(scope="class")
+    def text(self) -> str:
+        from repro.xmark import generate_document
+        return generate_document(scale=0.004, seed=11)
+
+    @staticmethod
+    def assert_probe_sized(trace, matching: int) -> None:
+        steps = [entry for entry in trace.entries if entry.operator == "step"]
+        assert not [entry for entry in steps
+                    if entry.algorithm == "step.materialize"
+                    and "descendant-or-self" in entry.detail]
+        assert 0 < sum(entry.rows_out for entry in steps) <= 2 * matching
+
+    @pytest.mark.parametrize("query, matched", [
+        (XMARK_QUERIES[7], "count(/site) + count(//description)"
+                           " + count(//annotation) + count(//emailaddress)"),
+        ("for $b in //site/regions return count($b//item)",
+         "count(//site) + count(//site/regions) + count(//item)"),
+    ])
+    def test_embedded(self, text, query, matched):
+        mxq = MonetXQuery()
+        mxq.load_document_text(text, name="auction.xml")
+        matching = mxq.query(matched).items[0]
+        with capture() as trace:
+            mxq.query(query)
+        self.assert_probe_sized(trace, matching)
+
+    def test_behind_the_server(self, text):
+        from repro import QueryServer
+        with QueryServer(threads=2) as server:
+            server.load_document_text(text, name="auction.xml")
+            for query in ("count(//item)", "count(//person)"):
+                with capture() as trace:
+                    matching = server.execute(query).items[0]
+                self.assert_probe_sized(trace, matching)
+            nodes = server.engine.store.get("auction.xml").node_count
+            cache = server.subplan_cache
+            assert len(cache) > 0
+            assert nodes not in [len(cache.lookup(key))
+                                 for key in cache.keys()]
