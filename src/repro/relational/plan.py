@@ -6,7 +6,7 @@ front-end first builds a DAG of logical relational operators, rewrites it
 then emits the physical algebra.  This module provides the plan
 representation shared by the planner (:mod:`repro.xquery.planner`), the
 rewrite optimizer (:mod:`repro.relational.rewrites`) and the executor
-(:mod:`repro.xquery.compiler`):
+(:mod:`repro.xquery.codegen`):
 
 * :class:`PlanNode` — an immutable operator node (``kind``, scalar
   ``params``, child plans),

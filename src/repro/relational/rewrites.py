@@ -436,7 +436,6 @@ def optimize(module_plan: "ModulePlan", options: Any = None,
     cost_based_joins = getattr(options, "cost_based_joins", True)
     projection_pushdown = getattr(options, "projection_pushdown", True)
     subplan_sharing = getattr(options, "subplan_sharing", True)
-    cross_query_caching = getattr(options, "cross_query_caching", True)
     typed_columns = getattr(options, "typed_columns", True)
     step_fusion = getattr(options, "step_fusion", True)
     wcoj = getattr(options, "wcoj", True)
@@ -516,14 +515,11 @@ def optimize(module_plan: "ModulePlan", options: Any = None,
                         f"{len(shared)} shared subplans will execute once")
 
     # 4. cross-query cacheable subplans: loop-invariant absolute paths
-    cache_keys: dict[int, str] = {}
-    if cross_query_caching:
-        cache_keys = _cacheable_subplans(roots, free, impure, functions)
-        if cache_keys:
-            report.fire(
-                "cacheable-subplans",
-                f"{len(cache_keys)} absolute-path subplans may be "
-                "materialized across queries")
+    cache_keys = _cacheable_subplans(roots, free, impure, functions)
+    if cache_keys:
+        report.fire("cacheable-subplans",
+                    f"{len(cache_keys)} absolute-path subplans may be "
+                    "materialized across queries")
 
     # 5. step-chain fusion: maximal predicate-free step chains execute as
     #    one surrogate-free staircase pipeline

@@ -25,8 +25,10 @@ def shred_events(events: Iterable[Event], container: DocumentContainer, *,
 
     Returns the pre rank of the fragment root (the document node when
     ``add_document_node`` is true, the first top-level node otherwise).
-    Whitespace-only text nodes are dropped unless ``keep_whitespace`` is set,
-    matching the usual data-oriented XMark setup.
+    A document must hold exactly one top-level element and no top-level
+    text; a fragment may hold any sequence of nodes.  Whitespace-only text
+    nodes are dropped unless ``keep_whitespace`` is set, matching the usual
+    data-oriented XMark setup.
     """
     root_pre: int | None = None
     if add_document_node:
@@ -38,6 +40,7 @@ def shred_events(events: Iterable[Event], container: DocumentContainer, *,
 
     stack: list[int] = []            # pre ranks of open elements
     node_count_at = {}               # pre -> node_count when opened
+    top_elements = 0                 # elements outside every other element
 
     for event in events:
         level = base_level + len(stack)
@@ -49,6 +52,11 @@ def shred_events(events: Iterable[Event], container: DocumentContainer, *,
                 frag = pre
             if root_pre is None:
                 root_pre = pre
+            if not stack:
+                top_elements += 1
+                if add_document_node and top_elements > 1:
+                    raise XMLParseError(
+                        f"document has a second root element <{event.name}>")
             for attr_name, attr_value in event.attributes:
                 if attr_name.startswith("xmlns"):
                     continue
@@ -63,8 +71,12 @@ def shred_events(events: Iterable[Event], container: DocumentContainer, *,
             container.set_size(pre, container.node_count - node_count_at.pop(pre) + 0)
         elif isinstance(event, Text):
             content = event.content
-            if not keep_whitespace and not content.strip():
-                continue
+            if not content.strip():
+                if not keep_whitespace:
+                    continue
+            elif add_document_node and not stack:
+                raise XMLParseError("document has text outside its root "
+                                    "element")
             pre = container.add_node(NodeKind.TEXT, level, value=content,
                                      frag=frag)
             if root_pre is None:
@@ -85,8 +97,8 @@ def shred_events(events: Iterable[Event], container: DocumentContainer, *,
 
     if stack:
         raise XMLParseError("document ended with unclosed elements")
-    if root_pre is None:
-        raise XMLParseError("document contains no content")
+    if root_pre is None or (add_document_node and not top_elements):
+        raise XMLParseError("document contains no root element")
     if add_document_node:
         container.set_size(root_pre, container.node_count - root_pre - 1)
     return root_pre

@@ -1,7 +1,6 @@
-"""Pathfinder-style XQuery front-end: parser, loop-lifting compiler, engine."""
+"""Pathfinder-style XQuery front-end: parser, planner, closure codegen, engine."""
 
 from .ast import Module
-from .compiler import LoopLiftingCompiler
 from .engine import (EngineOptions, MonetXQuery, PlanCacheStats,
                      PreparedQuery, QueryResult)
 from .parser import parse, parse_expression
@@ -10,7 +9,6 @@ from .updates import XMLUpdater
 
 __all__ = [
     "EngineOptions",
-    "LoopLiftingCompiler",
     "Module",
     "ModulePlan",
     "MonetXQuery",

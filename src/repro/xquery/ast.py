@@ -1,7 +1,7 @@
 """Abstract syntax tree of the supported XQuery subset.
 
 The node classes are plain dataclasses; the same AST is consumed by both the
-relational loop-lifting compiler (:mod:`repro.xquery.compiler`) and the
+relational loop-lifting planner (:mod:`repro.xquery.planner`) and the
 conventional tree-walking baseline (:mod:`repro.baselines.interpreter`), so
 the two engines are guaranteed to agree on what a query *means*.
 """

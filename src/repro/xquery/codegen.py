@@ -1,36 +1,30 @@
 """Plan-to-Python codegen: the executor — one closure per plan operator.
 
-This module compiles an :class:`~repro.relational.rewrites.
-OptimizedModulePlan` **once at prepare time** into one specialized Python
-closure per plan operator (closure composition — the approach DevilsDatabase
-takes for value expressions, one level up).  The closures are the *only*
-way a plan node executes; there is no interpreting twin beside them:
+An :class:`~repro.relational.rewrites.OptimizedModulePlan` compiles
+**once at prepare time** into one specialized Python closure per plan
+operator (closure composition — the approach DevilsDatabase takes for
+value expressions, one level up); the closures are the only way a plan
+node executes:
 
-* every static decision is resolved at codegen time: operator params,
-  comparison operators and strategies, need_pos/need_item column
-  requirements, join schedules and estimates, fused-chain specs (including
-  positional ``[k]``/``[last()]`` predicates), builtin and user-function
-  lookups,
-* constant operands of arithmetic / comparisons / logic skip the
-  ``lift_constant`` table churn entirely (their per-iteration values and
-  effective boolean values are precomputed),
-* the subplan-cache and CSE-memoisation wrappers are baked into each
-  closure (:meth:`_ClosureBuilder._wrap`),
-* ``for``/``let``/``orderspec``/``avt`` nodes are structural: the enclosing
-  ``flwor``/``quantified``/``elem`` closure consumes them inline,
-* dynamic errors stay dynamic: an unknown function, a wrong user-function
-  arity or a recursive user function compile to closures that raise at
-  *run* time, so ``prepare()``/``explain()`` succeed on any parsable query.
+* every static decision — operator params, engine options, column
+  requirements, join schedules, fused-chain specs, function lookups — is
+  resolved here, and every child is called through its compiled closure;
+  constant operands skip the ``lift_constant`` table churn entirely,
+* :meth:`_ClosureBuilder._wrap` is every node's entry point: the subplan
+  cache consultation and the CSE memo live there; a node with neither
+  keeps its raw closure,
+* ``for``/``let``/``orderspec``/``avt`` are structural: the enclosing
+  ``flwor``/``quantified``/``elem`` closure consumes them (the FLWOR
+  emitters and their join run-time are :mod:`repro.xquery.flwor`),
+* dynamic errors (unknown function, wrong arity, recursion) compile to
+  closures that raise at *run* time, so ``prepare()`` succeeds on any
+  parsable query.
 
-Each closure has the signature ``fn(rt, loop, env) -> Table`` where ``rt``
-is the per-execution :class:`~repro.xquery.compiler.LoopLiftingCompiler`
-(carrying the run-scoped state: memo tables, staircase stats, the engine
-view, and the join/predicate/ordering run-time the closures call into).
-The :class:`CompiledProgram` itself is immutable and shared — it is cached
-on :class:`~repro.xquery.engine.PreparedQuery` next to the plan, so
-plan-cache keying (query + options + store version) invalidates both
-together, and process-pool workers rebuild it cheaply in their warm
-per-generation engines.
+A closure is ``fn(state, loop, env) -> Table``: the :class:`RunState` of
+one execution, the loop relation and the environment of ``iter|pos|item``
+variable tables.  The :class:`CompiledProgram` is immutable and shared;
+it is cached on :class:`~repro.xquery.engine.PreparedQuery` next to the
+plan, so the plan-cache key invalidates both together.
 """
 
 from __future__ import annotations
@@ -42,19 +36,21 @@ from ..errors import XQueryRuntimeError, XQueryTypeError, XQueryUnsupportedError
 from ..relational import explain
 from ..relational import operators as ops
 from ..relational.plan import PlanNode
-from ..relational.rewrites import (OptimizedModulePlan, flatten_conjuncts,
-                                   positional_predicate_spec)
+from ..relational.rewrites import OptimizedModulePlan, positional_predicate_spec
 from ..relational.sorting import sort
 from ..staircase.axes import NodeTest
+from ..staircase.iterative import StaircaseStats
 from ..xml.document import NodeRef
 from . import functions
 from .constructors import construct_element, construct_text
+from .flwor import FlworEmitters, combine_verdicts
 from .joins import existential_compare
-from .sequences import (back_map, empty_sequence, for_binding,
-                        from_iter_items, items_by_iteration, lift_constant,
-                        lift_environment, lift_items, make_loop,
-                        restrict_sequence, singleton_per_iter,
-                        singleton_values)
+from .sequences import (back_map, empty_sequence, ensure_sequence_order,
+                        for_binding, from_iter_items, item_per_iteration,
+                        items_by_iteration, lift_constant, lift_environment,
+                        lift_items, make_loop, restrict_sequence,
+                        sequence_items, singleton_per_iter, singleton_values,
+                        unit_loop)
 from .steps import StepOptions, axis_step, axis_step_chain
 from .types import atomize, effective_boolean_value, to_number, to_string
 
@@ -65,23 +61,59 @@ _STRUCTURAL = frozenset({"for", "let", "orderspec", "avt"})
 #: argless builtins that consume the implicit context item
 _CONTEXT_BUILTINS = ("string", "data", "number", "name", "local-name")
 
+#: a compiled ``[last()]`` predicate (see :meth:`_ClosureBuilder._predicates`)
+_LAST = object()
+
+
+@dataclass(slots=True)
+class RunState:
+    """The state of one execution: created per run, never shared."""
+
+    store: Any
+    #: container receiving the nodes constructed by this execution
+    transient: Any
+    #: the attached cross-query :class:`~repro.server.SubplanCache`, if any
+    subplan_cache: Any = None
+    global_items: dict[str, list[Any]] = field(default_factory=dict)
+    #: CSE memo; the pinned tables keep the ``id()`` keys stable
+    memo: dict[tuple, Any] = field(default_factory=dict)
+    memo_pins: list[Any] = field(default_factory=list)
+    call_stack: list[str] = field(default_factory=list)
+    step_stats: StaircaseStats = field(default_factory=StaircaseStats)
+
 
 @dataclass(frozen=True)
 class CompiledProgram:
     """The compiled form of one optimized plan: closures keyed by node id.
 
     Shared between executions (and threads): the closures close only over
-    static plan facts; all run-scoped state lives on the ``rt`` argument.
+    static plan facts; all run-scoped state lives on the :class:`RunState`.
     """
 
     by_id: dict[int, Callable] = field(repr=False)
     #: node id -> reason a node has no closure: always empty, every operator
     #: compiles (read by the benchmark's layer view)
     fallbacks: dict[int, str] = field(default_factory=dict, repr=False)
+    #: (name, closure) of every global variable, in declaration order
+    globals: tuple = field(default=(), repr=False)
+    body: Callable | None = field(default=None, repr=False)
+    order_opt: bool = True
 
     @property
     def compiled_count(self) -> int:
         return len(self.by_id)
+
+    def run(self, state: RunState, context_item: Any = None) -> list[Any]:
+        """Evaluate the globals, then the body, in a single-iteration loop
+        (the context item bound to ``.``); returns the result items."""
+        loop = unit_loop()
+        env = {} if context_item is None \
+            else {".": lift_constant(loop, context_item)}
+        for name, fn in self.globals:
+            state.global_items[name] = sequence_items(fn(state, loop, env), 1)
+        result = ensure_sequence_order(self.body(state, loop, env),
+                                       use_properties=self.order_opt)
+        return sequence_items(result, 1)
 
 
 def compile_plan(optimized: OptimizedModulePlan, options: Any
@@ -93,28 +125,36 @@ def compile_plan(optimized: OptimizedModulePlan, options: Any
         for node in root.walk():
             if node.kind not in _STRUCTURAL:
                 builder.closure(node)
-    return CompiledProgram(by_id=builder.by_id)
+    by_id = builder.by_id
+    return CompiledProgram(
+        by_id=by_id, body=by_id[optimized.body.id],
+        globals=tuple((name, by_id[plan.id])
+                      for name, plan in optimized.globals),
+        order_opt=builder.order_opt)
 
 
-class _ClosureBuilder:
+class _ClosureBuilder(FlworEmitters):
     """Walks the plan DAG once, emitting one closure per operator."""
 
     def __init__(self, plan: OptimizedModulePlan, options: Any):
         self.plan = plan
-        self.options = options
         self.by_id: dict[int, Callable] = {}
         # every option consulted per node, resolved once
         self.order_opt = options.order_optimization
-        self.step_fusion = getattr(options, "step_fusion", True)
+        self.positional_lookup = options.positional_lookup
         self.existential_strategy = "auto" \
             if options.existential_aggregates else "dedup"
+        self.join_recognition = options.join_recognition
+        self.cost_based_joins = options.cost_based_joins
+        self.wcoj = options.wcoj
+        self.step_fusion = options.step_fusion
+        self.typed_columns = options.typed_columns
         self.step_options = StepOptions(
             loop_lifted_child=options.loop_lifted_child,
             loop_lifted_descendant=options.loop_lifted_descendant,
             loop_lifted_other=options.loop_lifted_other,
             nametest_pushdown=options.nametest_pushdown,
         )
-        self.typed_columns = getattr(options, "typed_columns", True)
 
     # ------------------------------------------------------------------ #
     # closure lookup / wrapping
@@ -128,35 +168,17 @@ class _ClosureBuilder:
         return fn
 
     def _wrap(self, node: PlanNode, raw: Callable) -> Callable:
-        """Bake the entry-point semantics of a node into its closure: the
-        cross-query subplan-cache consultation, then the shared-subplan
-        (CSE) memoisation.  Nodes with neither stay raw."""
+        """Every node's entry point: the cross-query subplan-cache
+        consultation, then the shared-subplan (CSE) memo.  Nodes with
+        neither stay raw (no extra frame)."""
         fingerprint = self.plan.cache_keys.get(node.id)
         shared = node.id in self.plan.shared \
             and node.id not in self.plan.impure
         if fingerprint is None and not shared:
             return raw
-        kind = node.kind
-
-        def wrapped(rt, loop, env, node=node, fingerprint=fingerprint,
-                    shared=shared, raw=raw, kind=kind):
-            if fingerprint is not None and rt._subplan_cache is not None:
-                materialized = rt._materialized_subplan(
-                    node, fingerprint, loop, env, evaluate=raw)
-                if materialized is not None:
-                    return materialized
-            if not shared:
-                return raw(rt, loop, env)
-            key = rt._memo_key(node, loop, env)
-            hit = rt._memo.get(key)
-            if hit is not None:
-                explain.record("plan", "plan.cse.reuse", hit.row_count,
-                               hit.row_count, detail=kind)
-                return hit
-            result = raw(rt, loop, env)
-            rt._memo[key] = result
-            return result
-        return wrapped
+        # the environment entries the value can depend on, in key order
+        free = tuple(sorted(self.plan.free(node))) if shared else None
+        return _entry(raw, node.id, node.kind, fingerprint, free)
 
     # ------------------------------------------------------------------ #
     # static column requirements (resolved once, not per execution)
@@ -165,18 +187,11 @@ class _ClosureBuilder:
         return "pos" in self.plan.required_columns(node)
 
     def _needs_item(self, node: PlanNode) -> tuple[bool, bool]:
-        """Whether any consumer reads the ``item`` column of this node,
-        as (static verdict, cache-dependent bit).
-
-        ``False`` (only under the ``typed_columns`` ablation) lets the step
-        kernels skip value materialisation entirely — pure-cardinality
-        consumers such as ``count()`` read ``iter`` alone.  The one dynamic
-        input is whether a cross-query subplan cache is attached:
-        cache-marked nodes must materialise items for *other* queries'
-        consumers, which the required-columns analysis of this plan knows
-        nothing about — so the closure evaluates
-        ``static or (cache_dependent and rt._subplan_cache is not None)``.
-        """
+        """Whether any consumer reads the node's ``item`` column, as
+        (static verdict, cache-dependent bit): without readers the step
+        kernels skip item materialisation (``count()`` reads ``iter``
+        alone), unless a subplan cache is attached and the node is
+        cache-marked — other queries' consumers read its slot."""
         if not self.typed_columns:
             return True, False
         static = "item" in self.plan.required_columns(node)
@@ -194,36 +209,37 @@ class _ClosureBuilder:
         return child.kind == "const" and child.id not in self.plan.shared
 
     def _scalar_source(self, child: PlanNode) -> Callable:
-        """``fn(rt, loop, env) -> {iteration: first item}``.  A constant
+        """``fn(state, loop, env) -> {iteration: first item}``.  A constant
         operand skips the lifted table entirely — its singleton view is a
         direct per-iteration dict of the literal."""
         if self._inline_const(child):
             value = child.p("value")
-            return lambda rt, loop, env: dict.fromkeys(loop.col("iter"),
-                                                       value)
+            return lambda state, loop, env: dict.fromkeys(loop.col("iter"),
+                                                          value)
         fn = self.closure(child)
-        return lambda rt, loop, env: singleton_values(fn(rt, loop, env))
+        return lambda state, loop, env: singleton_values(fn(state, loop, env))
 
     def _grouped_source(self, child: PlanNode) -> Callable:
-        """``fn(rt, loop, env) -> {iteration: [items]}`` (sequence view)."""
+        """``fn(state, loop, env) -> {iteration: [items]}`` (sequence view)."""
         if self._inline_const(child):
             value = child.p("value")
-            return lambda rt, loop, env: {
+            return lambda state, loop, env: {
                 iteration: [value] for iteration in loop.col("iter")}
         fn = self.closure(child)
-        return lambda rt, loop, env: items_by_iteration(fn(rt, loop, env))
+        return lambda state, loop, env: items_by_iteration(
+            fn(state, loop, env))
 
     def _ebv_source(self, child: PlanNode) -> Callable:
-        """``fn(rt, loop, env) -> {iteration: effective boolean value}``.
+        """``fn(state, loop, env) -> {iteration: effective boolean value}``.
         Constant operands precompute their EBV at codegen time."""
         if self._inline_const(child):
             verdict = effective_boolean_value([child.p("value")])
-            return lambda rt, loop, env: dict.fromkeys(loop.col("iter"),
-                                                       verdict)
+            return lambda state, loop, env: dict.fromkeys(loop.col("iter"),
+                                                          verdict)
         fn = self.closure(child)
 
-        def source(rt, loop, env):
-            grouped = items_by_iteration(fn(rt, loop, env))
+        def source(state, loop, env):
+            grouped = items_by_iteration(fn(state, loop, env))
             return {iteration: effective_boolean_value(
                         grouped.get(iteration, []))
                     for iteration in loop.col("iter")}
@@ -234,25 +250,25 @@ class _ClosureBuilder:
     # ------------------------------------------------------------------ #
     def _gen_const(self, node: PlanNode) -> Callable:
         value = node.p("value")
-        return lambda rt, loop, env: lift_constant(loop, value)
+        return lambda state, loop, env: lift_constant(loop, value)
 
     def _gen_empty(self, node: PlanNode) -> Callable:
-        return lambda rt, loop, env: empty_sequence()
+        return lambda state, loop, env: empty_sequence()
 
     def _gen_var(self, node: PlanNode) -> Callable:
         name = node.p("name")
 
-        def fn(rt, loop, env):
+        def fn(state, loop, env):
             table = env.get(name)
             if table is not None:
                 return table
-            if name in rt.global_items:
-                return lift_items(loop, rt.global_items[name])
+            if name in state.global_items:
+                return lift_items(loop, state.global_items[name])
             raise XQueryRuntimeError(f"unbound variable ${name}")
         return fn
 
     def _gen_context(self, node: PlanNode) -> Callable:
-        def fn(rt, loop, env):
+        def fn(state, loop, env):
             table = env.get(".")
             if table is None:
                 raise XQueryRuntimeError("the context item is undefined here")
@@ -260,7 +276,7 @@ class _ClosureBuilder:
         return fn
 
     def _gen_root(self, node: PlanNode) -> Callable:
-        def fn(rt, loop, env):
+        def fn(state, loop, env):
             context = env.get(".")
             if context is None:
                 raise XQueryRuntimeError(
@@ -279,19 +295,20 @@ class _ClosureBuilder:
     def _gen_seq(self, node: PlanNode) -> Callable:
         part_fns = [self.closure(child) for child in node.children]
         need_pos = self._needs_pos(node)
+        order_opt = self.order_opt
 
-        def fn(rt, loop, env):
-            return rt._concatenate([part(rt, loop, env) for part in part_fns],
-                                   need_pos=need_pos)
+        def fn(state, loop, env):
+            return _concatenate([part(state, loop, env) for part in part_fns],
+                                need_pos, order_opt)
         return fn
 
     def _gen_range(self, node: PlanNode) -> Callable:
         start_src = self._scalar_source(node.children[0])
         end_src = self._scalar_source(node.children[1])
 
-        def fn(rt, loop, env):
-            start = start_src(rt, loop, env)
-            end = end_src(rt, loop, env)
+        def fn(state, loop, env):
+            start = start_src(state, loop, env)
+            end = end_src(state, loop, env)
             pairs: list[tuple[int, Any]] = []
             for iteration in loop.col("iter"):
                 low = to_number(start.get(iteration))
@@ -312,9 +329,9 @@ class _ClosureBuilder:
         op = node.p("op")
         arithmetic = ops.arithmetic
 
-        def fn(rt, loop, env):
-            left = left_src(rt, loop, env)
-            right = right_src(rt, loop, env)
+        def fn(state, loop, env):
+            left = left_src(state, loop, env)
+            right = right_src(state, loop, env)
             values: dict[int, Any] = {}
             for iteration in loop.col("iter"):
                 if iteration not in left or iteration not in right:
@@ -330,8 +347,8 @@ class _ClosureBuilder:
         operand_src = self._scalar_source(node.children[0])
         negate = node.p("negate")
 
-        def fn(rt, loop, env):
-            operand = operand_src(rt, loop, env)
+        def fn(state, loop, env):
+            operand = operand_src(state, loop, env)
             values: dict[int, Any] = {}
             for iteration in loop.col("iter"):
                 if iteration not in operand:
@@ -349,9 +366,9 @@ class _ClosureBuilder:
         op = node.p("op")
         compare_values = ops.compare_values
 
-        def fn(rt, loop, env):
-            left = left_src(rt, loop, env)
-            right = right_src(rt, loop, env)
+        def fn(state, loop, env):
+            left = left_src(state, loop, env)
+            right = right_src(state, loop, env)
             values: dict[int, Any] = {}
             for iteration in loop.col("iter"):
                 if iteration not in left or iteration not in right:
@@ -367,40 +384,22 @@ class _ClosureBuilder:
         op = node.p("op")
         strategy = self.existential_strategy
 
-        def fn(rt, loop, env):
+        def fn(state, loop, env):
             true_iterations = existential_compare(
-                left_src(rt, loop, env), right_src(rt, loop, env), op,
+                left_src(state, loop, env), right_src(state, loop, env), op,
                 strategy=strategy)
             values = {iteration: iteration in true_iterations
                       for iteration in loop.col("iter")}
             return singleton_per_iter(loop, values)
         return fn
 
-    def _gen_and(self, node: PlanNode) -> Callable:
-        operand_srcs = [self._ebv_source(child) for child in node.children]
-
-        def fn(rt, loop, env):
-            verdict = dict.fromkeys(loop.col("iter"), True)
-            for source in operand_srcs:
-                partial = source(rt, loop, env)
-                for iteration in verdict:
-                    verdict[iteration] = verdict[iteration] \
-                        and partial.get(iteration, False)
-            return singleton_per_iter(loop, verdict)
-        return fn
+    def _gen_and(self, node: PlanNode, every: bool = True) -> Callable:
+        sources = [self._ebv_source(child) for child in node.children]
+        return lambda state, loop, env: singleton_per_iter(
+            loop, combine_verdicts(sources, every, state, loop, env))
 
     def _gen_or(self, node: PlanNode) -> Callable:
-        operand_srcs = [self._ebv_source(child) for child in node.children]
-
-        def fn(rt, loop, env):
-            verdict = dict.fromkeys(loop.col("iter"), False)
-            for source in operand_srcs:
-                partial = source(rt, loop, env)
-                for iteration in verdict:
-                    verdict[iteration] = verdict[iteration] \
-                        or partial.get(iteration, False)
-            return singleton_per_iter(loop, verdict)
-        return fn
+        return self._gen_and(node, every=False)
 
     def _gen_if(self, node: PlanNode) -> Callable:
         condition_src = self._ebv_source(node.children[0])
@@ -408,23 +407,20 @@ class _ClosureBuilder:
         else_fn = self.closure(node.children[2])
         order_opt = self.order_opt
 
-        def fn(rt, loop, env):
-            verdict = condition_src(rt, loop, env)
+        def fn(state, loop, env):
+            verdict = condition_src(state, loop, env)
             then_iters = [it for it in loop.col("iter")
                           if verdict.get(it, False)]
             else_iters = [it for it in loop.col("iter")
                           if not verdict.get(it, False)]
             parts = []
-            if then_iters:
-                then_loop = make_loop(then_iters)
-                then_env = {name: restrict_sequence(table, then_iters)
-                            for name, table in env.items()}
-                parts.append(then_fn(rt, then_loop, then_env))
-            if else_iters:
-                else_loop = make_loop(else_iters)
-                else_env = {name: restrict_sequence(table, else_iters)
-                            for name, table in env.items()}
-                parts.append(else_fn(rt, else_loop, else_env))
+            for iters, branch_fn in ((then_iters, then_fn),
+                                     (else_iters, else_fn)):
+                if iters:
+                    parts.append(branch_fn(
+                        state, make_loop(iters),
+                        {name: restrict_sequence(table, iters)
+                         for name, table in env.items()}))
             parts = [part for part in parts if part.row_count]
             if not parts:
                 return empty_sequence()
@@ -433,206 +429,14 @@ class _ClosureBuilder:
         return fn
 
     # ------------------------------------------------------------------ #
-    # FLWOR
-    # ------------------------------------------------------------------ #
-    def _gen_flwor(self, node: PlanNode) -> Callable:
-        options = self.options
-        nclauses = node.p("nclauses")
-        has_where = node.p("has_where")
-        norder = node.p("norder")
-        clauses = node.children[:nclauses]
-        where = node.children[nclauses] if has_where else None
-        spec_start = nclauses + (1 if has_where else 0)
-        orderspecs = node.children[spec_start:spec_start + norder]
-        return_node = node.children[-1]
-
-        conjuncts = flatten_conjuncts(where) if where is not None else []
-        conjunct_srcs = [self._ebv_source(conjunct) for conjunct in conjuncts]
-
-        wcoj_spec = node.p("wcoj")
-        use_wcoj = (wcoj_spec is not None and options.join_recognition
-                    and getattr(options, "wcoj", True))
-
-        join_by_clause: dict[int, tuple[int, int, int]] = {}
-        estimate_by_clause: dict[int, Any] = {}
-        if options.join_recognition and node.p("join") is not None:
-            triples = node.p("joins") or (node.p("join"),)
-            join_by_clause = {triple[0]: tuple(triple) for triple in triples}
-            for estimate in self.plan.join_estimates.get(node.id, ()):
-                estimate_by_clause[estimate.clause] = estimate
-
-        schedule = tuple(range(nclauses))
-        if join_by_clause and options.cost_based_joins:
-            annotated = node.p("clause_order")
-            if annotated is not None \
-                    and sorted(annotated) == list(range(nclauses)):
-                schedule = tuple(annotated)
-        reordered = schedule != tuple(range(nclauses))
-
-        # per clause (syntactic order): the static facts + binding closure
-        clause_info = []
-        for clause in clauses:
-            clause_info.append((clause, clause.kind == "let",
-                                clause.p("var"), clause.p("posvar"),
-                                self.closure(clause.children[0]),
-                                clause.children[1:]))
-
-        body_fn = self.closure(return_node)
-        need_pos = self._needs_pos(node) or norder > 0
-        order_opt = self.order_opt
-
-        def fn(rt, loop, env):
-            wcoj_state = None
-            if use_wcoj:
-                wcoj_state = rt._execute_wcoj(clauses, conjuncts, wcoj_spec,
-                                              loop, env)
-            if wcoj_state is not None:
-                tuple_map, current_loop, current_env, consumed = wcoj_state
-            else:
-                current_loop = loop
-                current_env = dict(env)
-                tuple_map = None
-                consumed = set()
-                clause_keys = {iteration: {}
-                               for iteration in loop.col("iter")} \
-                    if reordered else None
-
-                for index in schedule:
-                    clause, is_let, var, posvar, seq_fn, predicates = \
-                        clause_info[index]
-                    if is_let:
-                        current_env[var] = seq_fn(rt, current_loop,
-                                                  current_env)
-                        continue
-                    triple = join_by_clause.get(index)
-                    if triple is not None:
-                        join_plan = rt._execute_join(
-                            clause, conjuncts[triple[1]], triple[2],
-                            current_loop, current_env,
-                            estimate=estimate_by_clause.get(index))
-                        if join_plan is not None:
-                            scope_map, inner_loop, bindings, ranks = join_plan
-                            current_env = lift_environment(current_env,
-                                                           scope_map)
-                            current_env.update(bindings)
-                            tuple_map = rt._compose_maps(tuple_map, scope_map)
-                            if clause_keys is not None:
-                                clause_keys = rt._advance_clause_keys(
-                                    clause_keys, index, scope_map, ranks)
-                            current_loop = inner_loop
-                            consumed.add(triple[1])
-                            continue
-                    sequence = seq_fn(rt, current_loop, current_env)
-                    if predicates:
-                        sequence = rt._filter_binding(sequence, var,
-                                                      predicates, current_env)
-                    scope_map, inner_loop, variable, positions = for_binding(
-                        sequence, use_properties=order_opt)
-                    current_env = lift_environment(current_env, scope_map)
-                    current_env[var] = variable
-                    if posvar:
-                        current_env[posvar] = positions
-                    tuple_map = rt._compose_maps(tuple_map, scope_map)
-                    if clause_keys is not None:
-                        clause_keys = rt._advance_clause_keys(
-                            clause_keys, index, scope_map,
-                            list(positions.col("item")))
-                    current_loop = inner_loop
-
-                if reordered and tuple_map is not None:
-                    current_loop, current_env, tuple_map = \
-                        rt._restore_clause_order(
-                            loop, current_loop, current_env, tuple_map,
-                            clause_keys, nclauses)
-
-            remaining = [index for index in range(len(conjuncts))
-                         if index not in consumed]
-            if remaining:
-                verdict = dict.fromkeys(current_loop.col("iter"), True)
-                for index in remaining:
-                    partial = conjunct_srcs[index](rt, current_loop,
-                                                   current_env)
-                    for iteration in verdict:
-                        verdict[iteration] = verdict[iteration] \
-                            and partial.get(iteration, False)
-                surviving = [it for it in current_loop.col("iter")
-                             if verdict.get(it, False)]
-                current_loop = make_loop(surviving)
-                current_env = {name: restrict_sequence(table, surviving)
-                               for name, table in current_env.items()}
-
-            order_keys = None
-            if orderspecs:
-                order_keys = rt._order_by_ranks(orderspecs, current_loop,
-                                                current_env)
-
-            body = body_fn(rt, current_loop, current_env)
-
-            if tuple_map is None:
-                if order_keys is not None:
-                    raise XQueryUnsupportedError(
-                        "order by requires at least one for clause")
-                return body
-            return back_map(tuple_map, body, order_keys=order_keys,
-                            use_properties=order_opt, need_pos=need_pos)
-        return fn
-
-    # ------------------------------------------------------------------ #
-    # quantified expressions
-    # ------------------------------------------------------------------ #
-    def _gen_quantified(self, node: PlanNode) -> Callable:
-        variables = node.p("variables")
-        quantifier = node.p("quantifier")
-        sequence_fns = [self.closure(child) for child in node.children[:-1]]
-        verdict_src = self._ebv_source(node.children[-1])
-        order_opt = self.order_opt
-
-        def fn(rt, loop, env):
-            current_loop = loop
-            current_env = dict(env)
-            tuple_map = None
-            for variable, seq_fn in zip(variables, sequence_fns):
-                sequence = seq_fn(rt, current_loop, current_env)
-                scope_map, inner_loop, bound, _ = for_binding(
-                    sequence, use_properties=order_opt)
-                current_env = lift_environment(current_env, scope_map)
-                current_env[variable] = bound
-                tuple_map = rt._compose_maps(tuple_map, scope_map)
-                current_loop = inner_loop
-
-            verdict = verdict_src(rt, current_loop, current_env)
-            per_outer: dict[int, list[bool]] = {}
-            if tuple_map is None:
-                per_outer = {iteration: [] for iteration in loop.col("iter")}
-            else:
-                for outer, inner in zip(tuple_map.col("outer"),
-                                        tuple_map.col("inner")):
-                    per_outer.setdefault(outer, []).append(
-                        verdict.get(inner, False))
-            values: dict[int, bool] = {}
-            for iteration in loop.col("iter"):
-                outcomes = per_outer.get(iteration, [])
-                values[iteration] = any(outcomes) if quantifier == "some" \
-                    else all(outcomes)
-            return singleton_per_iter(loop, values)
-        return fn
-
-    # ------------------------------------------------------------------ #
     # paths
     # ------------------------------------------------------------------ #
     def _chain_nodes(self, node: PlanNode, *, trim_at_cache: bool
                      ) -> list[PlanNode] | None:
-        """The step nodes (head first) of the node's fused chain for one
-        cache configuration.
-
-        The rewrite analysis annotated the maximal absorbable chain length
-        (only through steps that are predicate-free or carry a single
-        positional predicate).  With ``trim_at_cache`` a cache-marked
-        interior node stays a chain boundary — its materialised item
-        sequence is shared with other queries, so it is evaluated
-        standalone (consulting and populating its cache slot) and the
-        chain is trimmed above it.  ``None`` when fewer than two steps
-        survive (the per-step path runs instead)."""
+        """The step nodes (head first) of the node's fused chain, as long
+        as the rewrite annotated it; with ``trim_at_cache`` a cache-marked
+        interior node stays a boundary (it runs standalone, filling its
+        cache slot).  ``None`` when fewer than two steps survive."""
         if not self.step_fusion:
             return None
         length = self.plan.fused_chains.get(node.id, 0)
@@ -671,17 +475,16 @@ class _ClosureBuilder:
         item_static, item_cache_dep = self._needs_item(head)
         step_options = self.step_options
 
-        def run(rt, loop, env):
+        def run(state, loop, env):
             return axis_step_chain(
-                base_fn(rt, loop, env), specs, options=step_options,
-                stats=rt.step_stats,
+                base_fn(state, loop, env), specs, options=step_options,
+                stats=state.step_stats,
                 need_item=item_static or (item_cache_dep
-                                          and rt._subplan_cache is not None))
+                                          and state.subplan_cache is not None))
         return run
 
     def _gen_step(self, node: PlanNode) -> Callable:
         context_fn = self.closure(node.children[0])
-        predicates = node.children[1:]
         name = node.p("test_name")
         node_test = NodeTest(kind=node.p("test_kind"),
                              name=name if name not in (None, "*") else None)
@@ -695,57 +498,65 @@ class _ClosureBuilder:
         # cross-query subplan cache is attached (cache-marked interior nodes
         # must stay chain boundaries so their slots keep materialising) —
         # so both variants are precompiled and the runtime picks by that bit
-        plain_chain = self._chain_nodes(node, trim_at_cache=False)
-        trimmed_chain = self._chain_nodes(node, trim_at_cache=True)
-        run_plain = self._chain_runner(plain_chain)
-        if trimmed_chain is not None and plain_chain is not None \
-                and [n.id for n in trimmed_chain] \
-                == [n.id for n in plain_chain]:
-            run_trimmed = run_plain
-        else:
-            run_trimmed = self._chain_runner(trimmed_chain)
+        plain = self._chain_nodes(node, trim_at_cache=False)
+        trimmed = self._chain_nodes(node, trim_at_cache=True)
+        run_plain = self._chain_runner(plain)
+        run_trimmed = run_plain if trimmed == plain \
+            else self._chain_runner(trimmed)
 
-        if not predicates:
-            def fn(rt, loop, env):
-                runner = run_trimmed if rt._subplan_cache is not None \
-                    else run_plain
-                if runner is not None:
-                    return runner(rt, loop, env)
-                return axis_step(
-                    context_fn(rt, loop, env), axis, node_test,
-                    options=step_options, stats=rt.step_stats,
-                    need_item=item_static or (
-                        item_cache_dep and rt._subplan_cache is not None))
-            return fn
+        predicates = self._predicates(node.children[1:])
 
-        def fn(rt, loop, env):
-            runner = run_trimmed if rt._subplan_cache is not None \
+        def fn(state, loop, env):
+            runner = run_trimmed if state.subplan_cache is not None \
                 else run_plain
             if runner is not None:
-                return runner(rt, loop, env)
+                return runner(state, loop, env)
+            if not predicates:
+                return axis_step(
+                    context_fn(state, loop, env), axis, node_test,
+                    options=step_options, stats=state.step_stats,
+                    need_item=item_static or (
+                        item_cache_dep and state.subplan_cache is not None))
             # predicates need positions relative to each context node: a
             # nested iteration scope with one iteration per context node
-            context = context_fn(rt, loop, env)
+            context = context_fn(state, loop, env)
             scope_map, sub_loop, dot, _ = for_binding(
                 context, use_properties=order_opt)
             produced = axis_step(dot, axis, node_test, options=step_options,
-                                 stats=rt.step_stats)
+                                 stats=state.step_stats)
             sub_env = lift_environment(env, scope_map)
             sub_env["."] = dot
-            filtered = rt._apply_predicates(produced, predicates, sub_loop,
-                                            sub_env, reverse=axis.is_reverse)
+            filtered = _apply_predicates(state, produced, predicates,
+                                         sub_env, axis.is_reverse, order_opt)
             merged = back_map(scope_map, filtered, use_properties=order_opt)
-            return rt._nodes_in_document_order(merged, need_pos=need_pos)
+            return _nodes_in_document_order(merged, need_pos)
         return fn
 
     def _gen_filter(self, node: PlanNode) -> Callable:
         base_fn = self.closure(node.children[0])
-        predicates = node.children[1:]
+        predicates = self._predicates(node.children[1:])
+        order_opt = self.order_opt
 
-        def fn(rt, loop, env):
-            return rt._apply_predicates(base_fn(rt, loop, env), predicates,
-                                        loop, env)
+        def fn(state, loop, env):
+            return _apply_predicates(state, base_fn(state, loop, env),
+                                     predicates, env, False, order_opt)
         return fn
+
+    def _predicates(self, predicates) -> list[tuple[Any, Callable | None]]:
+        """Compile XPath predicates for :func:`_apply_predicates`: a
+        positional literal ``k`` as ``(k, None)``, ``last()`` as
+        ``(_LAST, None)``, anything else as ``(None, closure)``."""
+        compiled = []
+        for predicate in predicates:
+            value = predicate.p("value") if predicate.kind == "const" else None
+            if isinstance(value, int) and not isinstance(value, bool):
+                compiled.append((value, None))
+            elif predicate.kind == "call" and predicate.p("name") == "last" \
+                    and not predicate.children:
+                compiled.append((_LAST, None))
+            else:
+                compiled.append((None, self.closure(predicate)))
+        return compiled
 
     # ------------------------------------------------------------------ #
     # function calls
@@ -755,20 +566,14 @@ class _ClosureBuilder:
         if name.startswith("fn:"):
             name = name[3:]
 
-        if name == "position" and not node.children:
-            def fn(rt, loop, env):
-                table = env.get("fs:position")
+        if name in ("position", "last") and not node.children:
+            variable = "fs:" + name
+
+            def fn(state, loop, env):
+                table = env.get(variable)
                 if table is None:
                     raise XQueryRuntimeError(
-                        "position() used outside a predicate")
-                return table
-            return fn
-        if name == "last" and not node.children:
-            def fn(rt, loop, env):
-                table = env.get("fs:last")
-                if table is None:
-                    raise XQueryRuntimeError(
-                        "last() used outside a predicate")
+                        f"{name}() used outside a predicate")
                 return table
             return fn
 
@@ -778,25 +583,25 @@ class _ClosureBuilder:
             return self._gen_user_call(node, planned)
         if not functions.is_builtin(name):
             # a dynamic error: prepare()/explain() must keep succeeding
-            return lambda rt, loop, env: functions.lookup(name)
+            return lambda state, loop, env: functions.lookup(name)
         implementation = functions.lookup(name)
 
         if name in _CONTEXT_BUILTINS and not node.children:
-            def fn(rt, loop, env):
+            def fn(state, loop, env):
                 context = env.get(".")
                 if context is None:
                     raise XQueryRuntimeError(
                         "the context item is undefined here")
-                return implementation(rt, loop, [context])
+                return implementation(state, loop, [context])
             return fn
 
         argument_fns = [self.closure(argument)
                         for argument in node.children]
 
-        def fn(rt, loop, env):
+        def fn(state, loop, env):
             return implementation(
-                rt, loop, [argument(rt, loop, env)
-                           for argument in argument_fns])
+                state, loop, [argument(state, loop, env)
+                              for argument in argument_fns])
         return fn
 
     def _gen_user_call(self, node: PlanNode, planned) -> Callable:
@@ -811,8 +616,8 @@ class _ClosureBuilder:
         body_id = planned.body.id
         by_id = self.by_id
 
-        def fn(rt, loop, env):
-            if function in rt._call_stack:
+        def fn(state, loop, env):
+            if function in state.call_stack:
                 raise XQueryUnsupportedError(
                     f"recursive user function {function}() is not "
                     "supported by the eager loop-lifting evaluator")
@@ -820,37 +625,37 @@ class _ClosureBuilder:
                 raise XQueryTypeError(
                     f"{function}() expects {len(parameters)} "
                     f"arguments, got {len(argument_fns)}")
-            call_env = {parameter: argument(rt, loop, env)
+            call_env = {parameter: argument(state, loop, env)
                         for parameter, argument
                         in zip(parameters, argument_fns)}
-            rt._call_stack.append(function)
+            state.call_stack.append(function)
             try:
-                return by_id[body_id](rt, loop, call_env)
+                return by_id[body_id](state, loop, call_env)
             finally:
-                rt._call_stack.pop()
+                state.call_stack.pop()
         return fn
 
     # ------------------------------------------------------------------ #
     # constructors (into the execution's transient container)
     # ------------------------------------------------------------------ #
     def _spec_source(self, spec, children) -> Callable:
-        """``fn(rt, loop, env) -> [str | {iteration: [items]}]``: a
+        """``fn(state, loop, env) -> [str | {iteration: [items]}]``: a
         content/template spec with every ``"e"`` slot evaluated (in order)
         and the literal text parts passed through."""
         expressions = iter(children)
         parts = [self._grouped_source(next(expressions)) if part == "e"
                  else part[1] for part in spec]
-        return lambda rt, loop, env: [
-            part if isinstance(part, str) else part(rt, loop, env)
+        return lambda state, loop, env: [
+            part if isinstance(part, str) else part(state, loop, env)
             for part in parts]
 
     def _string_source(self, spec, children) -> Callable:
-        """``fn(rt, loop, env) -> {iteration: str}``: the literal parts
+        """``fn(state, loop, env) -> {iteration: str}``: the literal parts
         joined with the space-separated string values of each ``{expr}``."""
         parts_src = self._spec_source(spec, children)
 
-        def source(rt, loop, env):
-            parts = parts_src(rt, loop, env)
+        def source(state, loop, env):
+            parts = parts_src(state, loop, env)
             return {iteration: "".join(
                         part if isinstance(part, str)
                         else " ".join(map(to_string,
@@ -868,12 +673,12 @@ class _ClosureBuilder:
         content_src = self._spec_source(node.p("content_spec"),
                                         node.children[len(attr_names):])
 
-        def fn(rt, loop, env):
+        def fn(state, loop, env):
             # every nested expression runs (and constructs) for the whole
             # loop before the first element of this constructor is built
-            attr_values = [source(rt, loop, env) for source in attr_srcs]
-            content_parts = content_src(rt, loop, env)
-            container = rt.engine.transient
+            attr_values = [source(state, loop, env) for source in attr_srcs]
+            content_parts = content_src(state, loop, env)
+            container = state.transient
             values: dict[int, Any] = {}
             for iteration in loop.col("iter"):
                 content: list[Any] = []
@@ -893,10 +698,215 @@ class _ClosureBuilder:
     def _gen_text(self, node: PlanNode) -> Callable:
         text_src = self._string_source(("e",), node.children)
 
-        def fn(rt, loop, env):
-            texts = text_src(rt, loop, env)
-            container = rt.engine.transient
+        def fn(state, loop, env):
+            texts = text_src(state, loop, env)
+            container = state.transient
             return singleton_per_iter(loop, {
                 iteration: construct_text(container, text)
                 for iteration, text in texts.items()})
         return fn
+
+
+# --------------------------------------------------------------------------- #
+# run-time
+# --------------------------------------------------------------------------- #
+def _entry(raw: Callable, node_id: int, kind: str, fingerprint: str | None,
+           free: tuple[str, ...] | None) -> Callable:
+    """The closure :meth:`_ClosureBuilder._wrap` puts in front of ``raw``:
+    the subplan cache (with a ``fingerprint``), then the CSE memo keyed on
+    the loop and the ``free`` variables' tables (``None``: not shared)."""
+
+    def wrapped(state, loop, env):
+        if fingerprint is not None and state.subplan_cache is not None:
+            materialized = _cached_subplan(state, kind, fingerprint, raw,
+                                           loop, env)
+            if materialized is not None:
+                return materialized
+        if free is None:
+            return raw(state, loop, env)
+        pins = state.memo_pins
+        pins.append(loop)
+        key = [node_id, id(loop)]
+        for name in free:
+            table = env.get(name)
+            if table is not None:
+                pins.append(table)
+            key.append((name, None if table is None else id(table)))
+        key = tuple(key)
+        hit = state.memo.get(key)
+        if hit is not None:
+            explain.record("plan", "plan.cse.reuse", hit.row_count,
+                           hit.row_count, detail=kind)
+            return hit
+        result = state.memo[key] = raw(state, loop, env)
+        return result
+    return wrapped
+
+
+def _cached_subplan(state: RunState, kind: str, fingerprint: str,
+                    evaluate: Callable, loop, env: dict):
+    """Serve a cacheable absolute-path subplan from the cross-query cache,
+    evaluating and materializing it on a miss.
+
+    The rewrite proved the subplan a pure absolute path; when every
+    iteration sees one persistent document root its value is
+    loop-invariant — computed once under a unit loop, keyed on
+    (fingerprint, store version, container, root) and re-lifted into the
+    current loop.  ``None``: no/ambiguous/transient context, the caller
+    evaluates the node itself."""
+    context = env.get(".")
+    if context is None or loop.row_count == 0:
+        return None
+    container = None
+    root_pre = -1
+    for item in context.col("item"):
+        if not isinstance(item, NodeRef) or item.container.transient:
+            return None
+        pre = item.container.root_pre(item.pre)
+        if container is None:
+            container, root_pre = item.container, pre
+        elif container is not item.container or root_pre != pre:
+            return None
+    if container is None:
+        return None
+    cache = state.subplan_cache
+    key = cache.make_key(fingerprint, state.store.version, container,
+                         root_pre)
+    items = cache.lookup(key)
+    if items is None:
+        base_loop = unit_loop()
+        base_env = {".": lift_constant(base_loop,
+                                       NodeRef(container, root_pre))}
+        # ``evaluate`` is the node's raw (unwrapped) closure, so this node
+        # cannot consult the cache again; nested prefix steps run through
+        # their wrapped closures and populate their own slots
+        table = evaluate(state, base_loop, base_env)
+        items = cache.insert(key, tuple(sequence_items(table, 1)),
+                             pin=container)
+        explain.record("plan", "plan.subplan.materialize", len(items),
+                       len(items), detail=kind)
+    else:
+        explain.record("plan", "plan.subplan.hit", len(items), len(items),
+                       detail=kind)
+    return lift_items(loop, items)
+
+
+def _concatenate(parts: list, need_pos: bool, order_opt: bool):
+    """Sequence concatenation, branch-major per iteration."""
+    live = [part for part in parts if part.row_count]
+    if not live:
+        return empty_sequence()
+    if not need_pos:
+        # projection pushdown: no consumer reads pos, so the branch-major
+        # union already carries the right per-iteration item order — skip
+        # the sort and the positional renumbering entirely.  The stale
+        # per-branch pos values must not survive: a later stable
+        # (iter, pos) sort would use them as keys and interleave the
+        # branches, so a constant column stands in.
+        merged = ops.union_all(live)
+        merged = ops.project(merged, {"iter": "iter", "item": "item"})
+        merged = ops.attach(merged, "pos", 1)
+        merged = ops.project(merged, {"iter": "iter", "pos": "pos",
+                                      "item": "item"})
+        merged.props.order = ()
+        explain.record("project", "project.pushdown", merged.row_count,
+                       merged.row_count, detail="seq")
+        return merged
+    branches = [ops.attach(part, "branch", index)
+                for index, part in enumerate(live)]
+    merged = ops.union_all(branches)
+    merged = sort(merged, ("iter", "branch", "pos"), use_properties=order_opt)
+    merged = ops.rownum(merged, "new_pos", ("branch", "pos"),
+                        partition="iter", use_properties=order_opt)
+    result = ops.project(merged, {"iter": "iter", "pos": "new_pos",
+                                  "item": "item"})
+    result.props.order = ("iter", "pos")
+    return result
+
+
+def _nodes_in_document_order(table, need_pos: bool):
+    rows = sorted(
+        zip(table.col("iter"), table.col("item")),
+        key=lambda pair: (pair[0], pair[1].order_key()
+                          if isinstance(pair[1], NodeRef) else (0, 0, 0, 0)))
+    return from_iter_items([pair for index, pair in enumerate(rows)
+                            if index == 0 or pair != rows[index - 1]],
+                           need_pos=need_pos)
+
+
+def _apply_predicates(state: RunState, sequence, predicates, env: dict,
+                      reverse: bool, order_opt: bool):
+    """Filter ``sequence`` through predicates compiled by
+    :meth:`_ClosureBuilder._predicates`, one after the other.
+
+    ``reverse=True`` (the predicates belong to a reverse-axis step) makes
+    ``position()`` count in *proximity* order — reverse document order —
+    per the XPath rule that positions follow the axis direction.  The rows
+    themselves stay in document order (``pos`` ascending); the effective
+    position of a row is ``count(iteration) - pos + 1``, so ``[1]`` keeps
+    the nearest node and ``[last()]`` the farthest.
+    """
+    for wanted, verdict_fn in predicates:
+        if sequence.row_count == 0:
+            return sequence
+        positions = sequence.col("pos")
+        iterations = sequence.col("iter")
+        effective = positions
+        if reverse or verdict_fn is not None:
+            counts: dict[int, int] = {}
+            for iteration in iterations:
+                counts[iteration] = counts.get(iteration, 0) + 1
+            if reverse:
+                effective = [counts[iteration] - position + 1 for
+                             iteration, position in zip(iterations, positions)]
+
+        if wanted is _LAST:
+            last_by_iter: dict[int, int] = {}
+            for iteration, position in zip(iterations, effective):
+                last_by_iter[iteration] = max(last_by_iter.get(iteration, 0),
+                                              position)
+            keep = [index for index, (iteration, position)
+                    in enumerate(zip(iterations, effective))
+                    if position == last_by_iter[iteration]]
+        elif wanted is not None:
+            keep = [index for index, position in enumerate(effective)
+                    if position == wanted]
+        else:
+            keep = _predicate_verdicts(state, sequence, verdict_fn, counts,
+                                       effective, env, order_opt)
+        kept = sequence.take(keep, keep_order=True)
+        sequence = from_iter_items(list(zip(kept.col("iter"),
+                                            kept.col("item"))))
+    return sequence
+
+
+def _predicate_verdicts(state: RunState, sequence, verdict_fn, counts,
+                        effective, env: dict, order_opt: bool) -> list[int]:
+    """The rows a general predicate keeps: it runs in a nested scope with
+    one iteration per item (``.``, ``position()`` and ``last()`` bound); a
+    single numeric outcome compares against the position, anything else
+    is an effective boolean value."""
+    iterations = sequence.col("iter")
+    scope_map, sub_loop, dot, _ = for_binding(sequence,
+                                              use_properties=order_opt)
+    sub_env = lift_environment(env, scope_map)
+    sub_env["."] = dot
+    sub_iters = sub_loop.col("iter")
+    sub_env["fs:position"] = item_per_iteration(list(effective))
+    sub_env["fs:last"] = item_per_iteration(
+        [counts[iteration] for iteration in iterations])
+
+    grouped = items_by_iteration(verdict_fn(state, sub_loop, sub_env))
+    keep: list[int] = []
+    for index, inner in enumerate(sub_iters):
+        outcome = grouped.get(inner, [])
+        if not outcome:
+            continue
+        first = outcome[0]
+        if isinstance(first, (int, float)) and not isinstance(first, bool) \
+                and len(outcome) == 1:
+            if first == effective[index]:
+                keep.append(index)
+        elif effective_boolean_value(outcome):
+            keep.append(index)
+    return keep

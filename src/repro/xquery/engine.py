@@ -2,7 +2,8 @@
 
 :class:`MonetXQuery` ties the subsystems together: the document store
 (shredded ``pre|size|level`` containers), a transient container for
-constructed nodes, the loop-lifting compiler, and the engine options that
+constructed nodes, the prepare pipeline (parse → plan → rewrite → compile
+to closures), and the engine options that
 expose the ablation switches the paper's experiments toggle (loop-lifted vs.
 iterative staircase join, nametest pushdown, join recognition, order
 optimization, positional lookup).
@@ -21,7 +22,7 @@ from collections import OrderedDict
 from dataclasses import astuple, dataclass, field, replace
 from typing import Any
 
-from ..errors import DocumentError
+from ..errors import DocumentError, XQueryUnsupportedError
 from ..relational import explain
 from ..relational.cardinality import StoreStatistics
 from ..relational.rewrites import OptimizedModulePlan, optimize
@@ -30,10 +31,12 @@ from ..xml.document import DocumentContainer, DocumentStore, NodeRef
 from ..xml.serializer import serialize_sequence
 from ..xml.shredder import shred_document, shred_file
 from . import parser
-from .codegen import CompiledProgram, compile_plan
-from .compiler import LoopLiftingCompiler
+from .codegen import CompiledProgram, RunState, compile_plan
 from .planner import plan_module
 from .types import atomize, to_string
+
+#: the error for queries whose nesting exhausts the interpreter's stack
+_TOO_DEEP = "query nests too deeply (Python recursion limit reached)"
 
 
 @dataclass
@@ -77,12 +80,6 @@ class EngineOptions:
     #: from document statistics, pick build sides and order join clauses
     #: smallest-build-first
     cost_based_joins: bool = True
-    #: cross-query materialized subplan cache: loop-invariant absolute-path
-    #: subplans are fingerprinted at rewrite time and their materialised
-    #: results shared across queries (and threads) keyed on fingerprint +
-    #: document-store schema version + context root — only active when a
-    #: :class:`repro.server.SubplanCache` is attached to the engine
-    cross_query_caching: bool = True
     #: typed columnar kernels: location steps emit paired int-array columns
     #: and — when the required-columns analysis proves every consumer reads
     #: ``iter`` alone (pure-cardinality queries like ``count(path)``) — skip
@@ -353,7 +350,7 @@ class MonetXQuery:
         # concurrent cache hits (two threads may race to compile the same
         # text; the first insert wins and object identity stays stable)
         explain.record("plan", "plan.cache.miss", 0, 0, detail="prepare")
-        prepared = self._build_prepared(query, parser.parse(query), active)
+        prepared = self._build_prepared(query, active)
         if self.plan_cache_size > 0:
             with self._plan_lock:
                 existing = self._plan_cache.get(key)
@@ -365,15 +362,21 @@ class MonetXQuery:
                     self.plan_cache_stats.evictions += 1
         return prepared
 
-    def _build_prepared(self, text: str, module,
-                        options: EngineOptions) -> PreparedQuery:
-        """Plan → optimize → compile: the one place a
-        :class:`PreparedQuery` is built."""
-        optimized = optimize(plan_module(module), options,
-                             statistics=StoreStatistics.from_store(self.store))
+    def _build_prepared(self, text: str, options: EngineOptions,
+                        module=None) -> PreparedQuery:
+        """Parse (unless ``module`` is given) → plan → optimize → compile:
+        the one place a :class:`PreparedQuery` is built."""
+        try:
+            if module is None:
+                module = parser.parse(text)
+            optimized = optimize(
+                plan_module(module), options,
+                statistics=StoreStatistics.from_store(self.store))
+            compiled = compile_plan(optimized, options)
+        except RecursionError as exc:
+            raise XQueryUnsupportedError(_TOO_DEEP) from exc
         return PreparedQuery(text=text, plan=optimized, options=options,
-                             engine=self,
-                             compiled=compile_plan(optimized, options))
+                             engine=self, compiled=compiled)
 
     def explain(self, query: str, *,
                 options: EngineOptions | None = None) -> str:
@@ -406,7 +409,7 @@ class MonetXQuery:
                 options: EngineOptions | None = None) -> QueryResult:
         """Evaluate an already parsed module (bypasses the plan cache)."""
         active = options if options is not None else self.options
-        return self._build_prepared("", module, active).run(context=context)
+        return self._build_prepared("", active, module).run(context=context)
 
     def _run_prepared(self, prepared: PreparedQuery, *,
                       context: str | None = None,
@@ -414,15 +417,17 @@ class MonetXQuery:
         """Execute a prepared plan.  ``transient`` optionally supplies a
         private container for constructed nodes — the serving layer passes
         a per-execution container so concurrent queries never share one."""
-        compiler = LoopLiftingCompiler(
-            _EngineView(self, prepared.options, transient=transient))
+        state = RunState(self.store, transient if transient is not None
+                         else self.transient, self.subplan_cache)
         context_item = self._context_item(context)
         started = time.perf_counter()
-        items = compiler.run_optimized(prepared.plan, prepared.compiled,
-                                       context_item=context_item)
+        try:
+            items = prepared.compiled.run(state, context_item)
+        except RecursionError as exc:
+            raise XQueryUnsupportedError(_TOO_DEEP) from exc
         elapsed = time.perf_counter() - started
         return QueryResult(items=items, elapsed_seconds=elapsed,
-                           step_stats=compiler.step_stats)
+                           step_stats=state.step_stats)
 
     def _context_item(self, context: str | None) -> NodeRef | None:
         name = context if context is not None else self._default_context
@@ -430,16 +435,3 @@ class MonetXQuery:
             return None
         container = self.store.get(name)
         return NodeRef(container, 0)
-
-
-class _EngineView:
-    """What the compiler sees of the engine: store, transient container,
-    options, and the (optional) shared cross-query subplan cache."""
-
-    def __init__(self, engine: MonetXQuery, options: EngineOptions,
-                 transient=None):
-        self.store = engine.store
-        self.transient = transient if transient is not None \
-            else engine.transient
-        self.options = options
-        self.subplan_cache = engine.subplan_cache

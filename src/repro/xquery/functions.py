@@ -1,7 +1,8 @@
 """Built-in function library of the XQuery front-end.
 
-Every function receives the compiler (for access to the engine, document
-store and options), the current loop relation and the already-compiled
+Every function receives the execution's
+:class:`~repro.xquery.codegen.RunState` (``doc()`` reads its document
+store), the current loop relation and the already-evaluated
 ``iter|pos|item`` tables of its arguments, and returns the ``iter|pos|item``
 encoding of its result.  Two families cover almost everything:
 
@@ -66,7 +67,7 @@ def _first_by_iter(table) -> dict[int, Any]:
     return first
 
 
-def _map_items(compiler, loop, args, function, *, required: int | None = None,
+def _map_items(state, loop, args, function, *, required: int | None = None,
                skip_missing: bool = True):
     """Apply ``function`` per iteration to the first item of each argument."""
     required = len(args) if required is None else required
@@ -91,7 +92,7 @@ def _constant_per_iter(loop, values_by_iter: dict[int, Any]):
 # sequence aggregates
 # --------------------------------------------------------------------------- #
 @register("count")
-def fn_count(compiler, loop, args):
+def fn_count(state, loop, args):
     grouped = items_by_iteration(args[0])
     values = {iteration: len(grouped.get(iteration, []))
               for iteration in loop.col("iter")}
@@ -119,27 +120,27 @@ def _numeric_aggregate(loop, argument, kind: str):
 
 
 @register("sum")
-def fn_sum(compiler, loop, args):
+def fn_sum(state, loop, args):
     return _numeric_aggregate(loop, args[0], "sum")
 
 
 @register("avg")
-def fn_avg(compiler, loop, args):
+def fn_avg(state, loop, args):
     return _numeric_aggregate(loop, args[0], "avg")
 
 
 @register("min")
-def fn_min(compiler, loop, args):
+def fn_min(state, loop, args):
     return _numeric_aggregate(loop, args[0], "min")
 
 
 @register("max")
-def fn_max(compiler, loop, args):
+def fn_max(state, loop, args):
     return _numeric_aggregate(loop, args[0], "max")
 
 
 @register("empty")
-def fn_empty(compiler, loop, args):
+def fn_empty(state, loop, args):
     grouped = items_by_iteration(args[0])
     values = {iteration: len(grouped.get(iteration, [])) == 0
               for iteration in loop.col("iter")}
@@ -147,7 +148,7 @@ def fn_empty(compiler, loop, args):
 
 
 @register("exists")
-def fn_exists(compiler, loop, args):
+def fn_exists(state, loop, args):
     grouped = items_by_iteration(args[0])
     values = {iteration: len(grouped.get(iteration, [])) > 0
               for iteration in loop.col("iter")}
@@ -155,7 +156,7 @@ def fn_exists(compiler, loop, args):
 
 
 @register("distinct-values")
-def fn_distinct_values(compiler, loop, args):
+def fn_distinct_values(state, loop, args):
     from .sequences import from_iter_items
     grouped = items_by_iteration(args[0])
     pairs: list[tuple[int, Any]] = []
@@ -174,7 +175,7 @@ def fn_distinct_values(compiler, loop, args):
 
 
 @register("reverse")
-def fn_reverse(compiler, loop, args):
+def fn_reverse(state, loop, args):
     from .sequences import from_iter_items
     grouped = items_by_iteration(args[0])
     pairs: list[tuple[int, Any]] = []
@@ -185,7 +186,7 @@ def fn_reverse(compiler, loop, args):
 
 
 @register("zero-or-one")
-def fn_zero_or_one(compiler, loop, args):
+def fn_zero_or_one(state, loop, args):
     grouped = items_by_iteration(args[0])
     for iteration, items in grouped.items():
         if len(items) > 1:
@@ -194,7 +195,7 @@ def fn_zero_or_one(compiler, loop, args):
 
 
 @register("exactly-one")
-def fn_exactly_one(compiler, loop, args):
+def fn_exactly_one(state, loop, args):
     grouped = items_by_iteration(args[0])
     for iteration in loop.col("iter"):
         if len(grouped.get(iteration, [])) != 1:
@@ -203,12 +204,12 @@ def fn_exactly_one(compiler, loop, args):
 
 
 @register("one-or-more")
-def fn_one_or_more(compiler, loop, args):
+def fn_one_or_more(state, loop, args):
     return args[0]
 
 
 @register("subsequence")
-def fn_subsequence(compiler, loop, args):
+def fn_subsequence(state, loop, args):
     from .sequences import from_iter_items
     grouped = items_by_iteration(args[0])
     starts = _first_by_iter(args[1])
@@ -228,7 +229,7 @@ def fn_subsequence(compiler, loop, args):
 # booleans
 # --------------------------------------------------------------------------- #
 @register("not")
-def fn_not(compiler, loop, args):
+def fn_not(state, loop, args):
     grouped = items_by_iteration(args[0])
     values = {iteration: not effective_boolean_value(grouped.get(iteration, []))
               for iteration in loop.col("iter")}
@@ -236,7 +237,7 @@ def fn_not(compiler, loop, args):
 
 
 @register("boolean")
-def fn_boolean(compiler, loop, args):
+def fn_boolean(state, loop, args):
     grouped = items_by_iteration(args[0])
     values = {iteration: effective_boolean_value(grouped.get(iteration, []))
               for iteration in loop.col("iter")}
@@ -244,12 +245,12 @@ def fn_boolean(compiler, loop, args):
 
 
 @register("true")
-def fn_true(compiler, loop, args):
+def fn_true(state, loop, args):
     return lift_constant(loop, True)
 
 
 @register("false")
-def fn_false(compiler, loop, args):
+def fn_false(state, loop, args):
     return lift_constant(loop, False)
 
 
@@ -257,14 +258,14 @@ def fn_false(compiler, loop, args):
 # strings
 # --------------------------------------------------------------------------- #
 @register("string")
-def fn_string(compiler, loop, args):
+def fn_string(state, loop, args):
     if not args:
         raise XQueryUnsupportedError("string() without argument needs a context item")
-    return _map_items(compiler, loop, args, lambda value: to_string(value))
+    return _map_items(state, loop, args, lambda value: to_string(value))
 
 
 @register("data")
-def fn_data(compiler, loop, args):
+def fn_data(state, loop, args):
     from .sequences import from_iter_items
     grouped = items_by_iteration(args[0])
     pairs = [(iteration, atomize(item))
@@ -274,34 +275,34 @@ def fn_data(compiler, loop, args):
 
 
 @register("string-length")
-def fn_string_length(compiler, loop, args):
-    return _map_items(compiler, loop, args,
+def fn_string_length(state, loop, args):
+    return _map_items(state, loop, args,
                       lambda value: len(to_string(value)))
 
 
 @register("contains")
-def fn_contains(compiler, loop, args):
-    return _map_items(compiler, loop, args,
+def fn_contains(state, loop, args):
+    return _map_items(state, loop, args,
                       lambda haystack, needle:
                       to_string(needle) in to_string(haystack))
 
 
 @register("starts-with")
-def fn_starts_with(compiler, loop, args):
-    return _map_items(compiler, loop, args,
+def fn_starts_with(state, loop, args):
+    return _map_items(state, loop, args,
                       lambda haystack, needle:
                       to_string(haystack).startswith(to_string(needle)))
 
 
 @register("ends-with")
-def fn_ends_with(compiler, loop, args):
-    return _map_items(compiler, loop, args,
+def fn_ends_with(state, loop, args):
+    return _map_items(state, loop, args,
                       lambda haystack, needle:
                       to_string(haystack).endswith(to_string(needle)))
 
 
 @register("substring")
-def fn_substring(compiler, loop, args):
+def fn_substring(state, loop, args):
     def substring(value, start, length=None):
         text = to_string(value)
         begin = int(round(to_number(start) or 1)) - 1
@@ -309,18 +310,18 @@ def fn_substring(compiler, loop, args):
             return text[max(begin, 0):]
         end = begin + int(round(to_number(length) or 0))
         return text[max(begin, 0):max(end, 0)]
-    return _map_items(compiler, loop, args, substring, required=2)
+    return _map_items(state, loop, args, substring, required=2)
 
 
 @register("concat")
-def fn_concat(compiler, loop, args):
+def fn_concat(state, loop, args):
     def concat(*values):
         return "".join(to_string(value) for value in values if value is not None)
-    return _map_items(compiler, loop, args, concat, required=0, skip_missing=False)
+    return _map_items(state, loop, args, concat, required=0, skip_missing=False)
 
 
 @register("string-join")
-def fn_string_join(compiler, loop, args):
+def fn_string_join(state, loop, args):
     grouped = items_by_iteration(args[0])
     separators = _first_by_iter(args[1]) if len(args) > 1 else {}
     values: dict[int, str] = {}
@@ -332,52 +333,52 @@ def fn_string_join(compiler, loop, args):
 
 
 @register("normalize-space")
-def fn_normalize_space(compiler, loop, args):
-    return _map_items(compiler, loop, args,
+def fn_normalize_space(state, loop, args):
+    return _map_items(state, loop, args,
                       lambda value: " ".join(to_string(value).split()))
 
 
 @register("upper-case")
-def fn_upper_case(compiler, loop, args):
-    return _map_items(compiler, loop, args, lambda value: to_string(value).upper())
+def fn_upper_case(state, loop, args):
+    return _map_items(state, loop, args, lambda value: to_string(value).upper())
 
 
 @register("lower-case")
-def fn_lower_case(compiler, loop, args):
-    return _map_items(compiler, loop, args, lambda value: to_string(value).lower())
+def fn_lower_case(state, loop, args):
+    return _map_items(state, loop, args, lambda value: to_string(value).lower())
 
 
 # --------------------------------------------------------------------------- #
 # numbers
 # --------------------------------------------------------------------------- #
 @register("number")
-def fn_number(compiler, loop, args):
-    return _map_items(compiler, loop, args,
+def fn_number(state, loop, args):
+    return _map_items(state, loop, args,
                       lambda value: to_number(value)
                       if to_number(value) is not None else math.nan)
 
 
 @register("round")
-def fn_round(compiler, loop, args):
-    return _map_items(compiler, loop, args,
+def fn_round(state, loop, args):
+    return _map_items(state, loop, args,
                       lambda value: round(to_number(value) or 0))
 
 
 @register("floor")
-def fn_floor(compiler, loop, args):
-    return _map_items(compiler, loop, args,
+def fn_floor(state, loop, args):
+    return _map_items(state, loop, args,
                       lambda value: math.floor(to_number(value) or 0))
 
 
 @register("ceiling")
-def fn_ceiling(compiler, loop, args):
-    return _map_items(compiler, loop, args,
+def fn_ceiling(state, loop, args):
+    return _map_items(state, loop, args,
                       lambda value: math.ceil(to_number(value) or 0))
 
 
 @register("abs")
-def fn_abs(compiler, loop, args):
-    return _map_items(compiler, loop, args,
+def fn_abs(state, loop, args):
+    return _map_items(state, loop, args,
                       lambda value: abs(to_number(value) or 0))
 
 
@@ -385,41 +386,41 @@ def fn_abs(compiler, loop, args):
 # nodes and documents
 # --------------------------------------------------------------------------- #
 @register("doc")
-def fn_doc(compiler, loop, args):
+def fn_doc(state, loop, args):
     names = _first_by_iter(args[0])
     values: dict[int, Any] = {}
     for iteration in loop.col("iter"):
         name = names.get(iteration)
         if name is None:
             continue
-        container = compiler.engine.store.get(to_string(name))
+        container = state.store.get(to_string(name))
         values[iteration] = NodeRef(container, 0)
     return _constant_per_iter(loop, values)
 
 
 @register("document")
-def fn_document(compiler, loop, args):
-    return fn_doc(compiler, loop, args)
+def fn_document(state, loop, args):
+    return fn_doc(state, loop, args)
 
 
 @register("name")
-def fn_name(compiler, loop, args):
+def fn_name(state, loop, args):
     def node_name(item):
         if not isinstance(item, NodeRef):
             raise XQueryTypeError("name() requires a node argument")
         return item.name() or ""
-    return _map_items(compiler, loop, args, node_name)
+    return _map_items(state, loop, args, node_name)
 
 
 @register("local-name")
-def fn_local_name(compiler, loop, args):
-    return fn_name(compiler, loop, args)
+def fn_local_name(state, loop, args):
+    return fn_name(state, loop, args)
 
 
 @register("root")
-def fn_root(compiler, loop, args):
+def fn_root(state, loop, args):
     def root_of(item):
         if not isinstance(item, NodeRef):
             raise XQueryTypeError("root() requires a node argument")
         return NodeRef(item.container, item.container.root_pre(item.pre))
-    return _map_items(compiler, loop, args, root_of)
+    return _map_items(state, loop, args, root_of)

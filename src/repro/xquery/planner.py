@@ -15,7 +15,8 @@ user-defined function bodies) is built through one shared
 subexpressions — repeated path prefixes, duplicated aggregates — are
 hash-consed into *shared* DAG nodes.  The rewrite optimizer
 (:mod:`repro.relational.rewrites`) then annotates the DAG and the executor
-(:mod:`repro.xquery.compiler`) walks it into the eager physical operators.
+(:mod:`repro.xquery.codegen`) compiles it into closures over the eager
+physical operators.
 
 Plan operator reference (children in parentheses):
 

@@ -102,6 +102,15 @@ def lift_items(loop: Table, items: Sequence[Any]) -> Table:
     return Table(columns, props=TableProps(order=("iter", "pos")))
 
 
+def item_per_iteration(items: Sequence[Any]) -> Table:
+    """Iterations ``1..n``, the i-th bound to the singleton ``items[i-1]``."""
+    return Table([
+        Column.dense("iter", len(items), base=1),
+        Column.constant("pos", 1, len(items)),
+        Column("item", items),
+    ], props=TableProps(order=("iter", "pos")))
+
+
 def from_iter_items(pairs: Sequence[tuple[int, Any]], *,
                     need_pos: bool = True) -> Table:
     """Build a sequence table from (iter, item) pairs already in sequence order.

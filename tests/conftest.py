@@ -93,7 +93,6 @@ def all_options_off() -> EngineOptions:
         subplan_sharing=False,
         predicate_pushdown=False,
         cost_based_joins=False,
-        cross_query_caching=False,
         step_fusion=False,
         wcoj=False,
     )

@@ -124,16 +124,12 @@ class TestPerKindAgainstReference:
     @pytest.mark.parametrize("kind", sorted(KIND_QUERIES))
     def test_compiled_matches_reference(self, engine, kind):
         query = KIND_QUERIES[kind]
-        with capture() as trace:
-            compiled = engine.query(query)
+        compiled = engine.query(query)
         reference = serialize_sequence(
             run_baseline(engine.store, query, "auction.xml"))
         assert compiled.serialize() == reference, query
+        # every non-structural node has a closure, nothing is left over
         assert_fully_compiled(engine.prepare(query))
-        # one compiled program ran, with nothing left uncompiled
-        assert trace.count("plan.codegen") == 1
-        assert [entry.rows_out for entry in trace.entries
-                if entry.algorithm == "plan.codegen"] == [0]
 
     def test_constructor_results(self, engine):
         """Spot values, independent of either engine's serializer path."""
@@ -233,9 +229,7 @@ class TestPlanCacheIntegration:
         ``prepare(text)`` — compiled, uncached."""
         query = KIND_QUERIES["elem"]
         before = engine.plan_cache_stats_snapshot()
-        with capture() as trace:
-            result = engine.execute(engine.parse(query))
-        assert trace.count("plan.codegen") == 1
+        result = engine.execute(engine.parse(query))
         engine.reset_transient()
         assert result.serialize() == engine.query(query).serialize()
         after = engine.plan_cache_stats_snapshot()

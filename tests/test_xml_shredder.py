@@ -1,10 +1,15 @@
 """Shredding and serialization: the pre|size|level encoding is an isomorphism."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.xml import DocumentStore, serialize_subtree, shred_document
+from repro.errors import ReproError, XMLParseError
+from repro.xml import (DocumentStore, serialize_subtree, shred_document,
+                       shred_events)
 from repro.xml.document import NodeKind
+from repro.xml.parser import parse_events
 
 
 FIGURE4_XML = "<a><b><c><d/><e/></c></b><f><g/><h><i/><j/></h></f></a>"
@@ -81,6 +86,45 @@ class TestShredding:
         shred_document("<c/>", "two.xml", store)
         table = store.loaded_documents_table()
         assert set(table.col("doc")) == {"one.xml", "two.xml"}
+
+
+class TestMalformedDocuments:
+    """A document holds exactly one top-level element and no top-level
+    text; fragments (``add_document_node=False``) stay unrestricted."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "no root element"),
+        ("   ", "no root element"),
+        ("<!-- only a comment -->", "no root element"),
+        ("<a/><b/>", "second root element <b>"),
+        ("<a/>\n<a/>", "second root element <a>"),
+        ("<![CDATA[x]]><a/>", "text outside its root element"),
+        ("<a/><![CDATA[x]]>", "text outside its root element"),
+    ])
+    def test_rejected_with_xml_parse_error(self, store, text, message):
+        with pytest.raises(XMLParseError, match=re.escape(message)):
+            shred_document(text, "bad.xml", store)
+        assert "bad.xml" not in store
+
+    def test_engine_load_rejects_them(self):
+        from repro import MonetXQuery
+        for text in ("", "   ", "<a/><b/>"):
+            with pytest.raises(ReproError):
+                MonetXQuery().load_document_text(text, name="bad.xml")
+
+    @pytest.mark.parametrize("text", [
+        "<a/>", " <a/> ", "<!--c--><?pi x?><a/><!--d-->",
+        "<a><![CDATA[x]]></a>",
+    ])
+    def test_single_root_still_accepted(self, store, text):
+        doc = shred_document(text, "ok.xml", store)
+        assert doc.kind[0] == NodeKind.DOCUMENT
+
+    def test_fragments_keep_their_shape(self):
+        container = DocumentStore().new_container("fragment", transient=True)
+        root = shred_events(parse_events("<a/><b/>"), container,
+                            add_document_node=False)
+        assert root == 0 and container.node_count == 2
 
 
 # ---------------------------------------------------------------------------- #

@@ -1,12 +1,14 @@
 """End-to-end evaluation of XQuery expressions through the relational engine."""
 
 import math
+import sys
+import threading
 
 import pytest
 
 from repro import MonetXQuery
 from repro.baselines.interpreter import run_baseline
-from repro.errors import (XQueryRuntimeError, XQueryTypeError,
+from repro.errors import (ReproError, XQueryRuntimeError, XQueryTypeError,
                           XQueryUnsupportedError)
 
 
@@ -233,3 +235,79 @@ class TestJoinsAndComparisonQueries:
     def test_general_comparison_existential_on_sequences(self, engine):
         assert run(engine, "(1, 2, 3) < (0, 2)").items == [True]
         assert run(engine, "(5, 6) < (1, 2)").items == [False]
+
+
+
+def top_level(call):
+    """Run ``call`` at the bottom of a fresh thread's stack — the depth an
+    application calling the engine sees, without the test runner's frames."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:       # re-raised in the caller
+            outcome["error"] = exc
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class TestNestingDepth:
+    """Queries nested beyond the interpreter's stack raise a library error
+    instead of a raw ``RecursionError``; the depths that run today keep
+    running (the executor adds no frames per plan node)."""
+
+    SHAPES = {
+        "arithmetic": lambda n: "+".join(["1"] * n),
+        "if": lambda n: "if (1) then " * n + "1" + " else 0" * n,
+        "constructor": lambda n: "<a>{" * n + "1" + "}</a>" * n,
+        "parenthesis": lambda n: "(" * n + "1" + ")" * n,
+        "count": lambda n: "count(" * n + "1" + ")" * n,
+    }
+
+    @pytest.mark.parametrize("shape,depth", [
+        ("arithmetic", 250), ("arithmetic", 300), ("constructor", 80),
+        ("parenthesis", 100), ("count", 100),
+    ])
+    def test_too_deep_raises_repro_error(self, engine, shape, depth):
+        query = self.SHAPES[shape](depth)
+        with pytest.raises(XQueryUnsupportedError, match="nests too deeply"):
+            top_level(lambda: engine.query(query))
+        with pytest.raises(ReproError):
+            top_level(lambda: engine.explain(query))
+
+    def test_too_deep_module_raises_from_execute(self, engine):
+        module = engine.parse(self.SHAPES["arithmetic"](300))
+        with pytest.raises(XQueryUnsupportedError, match="nests too deeply"):
+            top_level(lambda: engine.execute(module))
+
+    def test_run_time_recursion_is_wrapped(self, engine):
+        prepared = top_level(
+            lambda: engine.prepare(self.SHAPES["arithmetic"](200)))
+
+        def run_with_a_small_stack():
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(200)
+            try:
+                return prepared.run()
+            finally:
+                sys.setrecursionlimit(limit)
+        with pytest.raises(XQueryUnsupportedError, match="nests too deeply"):
+            top_level(run_with_a_small_stack)
+
+    @pytest.mark.parametrize("shape,depth,expected", [
+        ("arithmetic", 200, [200]), ("if", 200, [1]), ("count", 80, [1]),
+    ])
+    def test_supported_depths_still_run(self, engine, shape, depth,
+                                        expected):
+        query = self.SHAPES[shape](depth)
+        assert top_level(lambda: engine.query(query)).items == expected
+
+    def test_sixty_nested_constructors_still_run(self, engine):
+        query = self.SHAPES["constructor"](60)
+        assert top_level(lambda: engine.query(query)).serialize() \
+            == "<a>" * 60 + "1" + "</a>" * 60
